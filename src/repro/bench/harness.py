@@ -3,24 +3,39 @@
 Each benchmark regenerates one of the paper's figures/claims as a small text
 table (the "same rows/series the paper reports"). :class:`ResultTable`
 collects rows, renders them aligned for the console, and persists both a
-text and a CSV artifact under ``benchmarks/results/`` so EXPERIMENTS.md can
-quote measured numbers verbatim.
+text and a CSV artifact. An ordinary run writes them to the git-ignored
+``benchmarks/results/latest/``, so running the suite never dirties the
+checkout; with ``REPRO_WRITE_RESULTS=1`` in the environment they replace the
+committed tables under ``benchmarks/results/`` that the README quotes.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 __all__ = ["ResultTable", "results_dir"]
 
+#: Environment switch: ``1`` sends default-located artifacts to the
+#: committed ``benchmarks/results/`` tables instead of ``latest/``.
+WRITE_RESULTS_ENV = "REPRO_WRITE_RESULTS"
+
 
 def results_dir(base: Optional[Union[str, Path]] = None) -> Path:
-    """The directory benchmark artifacts are written to (created on use)."""
-    directory = Path(base) if base else Path(__file__).resolve().parents[3] / (
-        "benchmarks/results"
-    )
+    """The directory benchmark artifacts are written to (created on use).
+
+    ``base`` wins when given. Otherwise it is ``benchmarks/results/latest/``
+    (git-ignored), or the committed ``benchmarks/results/`` itself when
+    :data:`WRITE_RESULTS_ENV` is ``1``.
+    """
+    if base:
+        directory = Path(base)
+    else:
+        directory = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+        if os.environ.get(WRITE_RESULTS_ENV) != "1":
+            directory = directory / "latest"
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 

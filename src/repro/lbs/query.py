@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import QueryError
 from ..roadnet.geometry import Point, point_along, point_segment_distance
 from ..roadnet.graph import RoadNetwork
@@ -68,6 +66,8 @@ class PoiDirectory:
         if not categories:
             raise QueryError("need at least one POI category")
         self._network = network
+        import numpy as np  # local: keeps numpy off ``import repro``
+
         rng = np.random.default_rng(seed)
         segment_ids = network.segment_ids()
         if not segment_ids and count > 0:

@@ -16,12 +16,13 @@ like dropping a vehicle onto the closest road.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..errors import MobilityError
 from ..roadnet.geometry import BoundingBox, Point
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["PlacementDistribution", "GaussianPlacement", "UniformPlacement"]
 

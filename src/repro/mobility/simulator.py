@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import MobilityError
 from ..roadnet.geometry import Point, point_along
 from ..roadnet.graph import RoadNetwork
@@ -98,6 +96,8 @@ class TrafficSimulator:
         if speed_range[0] <= 0 or speed_range[1] < speed_range[0]:
             raise MobilityError(f"invalid speed range: {speed_range}")
         self._network = network
+        import numpy as np  # local: keeps numpy off ``import repro``
+
         self._rng = np.random.default_rng(seed)
         self._placement = placement or GaussianPlacement()
         self._speed_range = speed_range

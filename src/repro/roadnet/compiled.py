@@ -39,7 +39,10 @@ import hashlib
 import threading
 from array import array
 from collections import OrderedDict
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Tuple
+
+from .graph import gc_paused
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .graph import RoadNetwork
@@ -82,6 +85,28 @@ class _TarjanScratch:
         self.epoch = 0
 
 
+class _SideNeighbors(dict):
+    """``segment id -> (neighbours at junction_a, neighbours at junction_b)``,
+    each a frozenset, computed from the network on first lookup and kept.
+    Racing threads compute the same value, so a lost store is harmless."""
+
+    __slots__ = ("_network",)
+
+    def __init__(self, network: "RoadNetwork") -> None:
+        super().__init__()
+        self._network = network
+
+    def __missing__(self, segment_id: int) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        network = self._network
+        segment = network.segment(segment_id)
+        sides = (
+            frozenset(network.segments_at_junction(segment.junction_a)) - {segment_id},
+            frozenset(network.segments_at_junction(segment.junction_b)) - {segment_id},
+        )
+        self[segment_id] = sides
+        return sides
+
+
 class CompiledNetwork:
     """Immutable compiled tables of one road network (see module docstring).
 
@@ -112,6 +137,7 @@ class CompiledNetwork:
         "_local",
     )
 
+    @gc_paused
     def __init__(self, network: "RoadNetwork") -> None:
         segment_list: Tuple[int, ...] = network.segment_ids()
         index_of: Dict[int, int] = {
@@ -124,21 +150,17 @@ class CompiledNetwork:
         # CSR adjacency over dense indices. Neighbour tuples are already
         # ascending by id, and the dense reindex is id-ordered, so the CSR
         # rows come out sorted too.
+        neighbors = network.neighbors
         neighbor_map: Dict[int, Tuple[int, ...]] = {
-            segment_id: network.neighbors(segment_id)
-            for segment_id in segment_list
+            segment_id: neighbors(segment_id) for segment_id in segment_list
         }
         self.neighbor_map = neighbor_map
-        csr = array("l")
-        total = 0
-        offsets = array("l", [0] * (self.segment_count + 1))
-        for dense, segment_id in enumerate(segment_list):
-            linked = neighbor_map[segment_id]
-            total += len(linked)
-            offsets[dense + 1] = total
-            csr.extend(index_of[neighbor] for neighbor in linked)
-        self.offsets = offsets
-        self.csr_neighbors = csr
+        rows = neighbor_map.values()
+        self.offsets = array("l", accumulate(map(len, rows), initial=0))
+        self.csr_neighbors = array(
+            "l", map(index_of.__getitem__, chain.from_iterable(rows))
+        )
+        total = self.offsets[-1]
         self.avg_degree = (total / self.segment_count) if self.segment_count else 0.0
 
         # Neighbours split by shared endpoint junction. Segments incident
@@ -149,17 +171,9 @@ class CompiledNetwork:
         # reroutes inside the clique (see ``peel_level``). Each neighbour
         # shares exactly one junction (duplicate pairs are rejected at
         # build time), so the two sets partition the neighbour list.
-        side_neighbors: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
-        for segment_id in segment_list:
-            segment = network.segment(segment_id)
-            at_a = frozenset(
-                network.segments_at_junction(segment.junction_a)
-            ) - {segment_id}
-            at_b = frozenset(
-                network.segments_at_junction(segment.junction_b)
-            ) - {segment_id}
-            side_neighbors[segment_id] = (at_a, at_b)
-        self.side_neighbors = side_neighbors
+        # Filled per segment on first lookup: a peel touches a small part
+        # of the map, and a cloak-only server none of it.
+        self.side_neighbors = _SideNeighbors(network)
 
         # Flat per-segment tables + the id-keyed views hot Python loops use.
         length_of: Dict[int, float] = {
@@ -167,25 +181,30 @@ class CompiledNetwork:
             for segment_id in segment_list
         }
         self.length_of = length_of
-        self.lengths = array("d", (length_of[s] for s in segment_list))
+        self.lengths = array("d", length_of.values())
         bounds_of = network.segment_bounds()
         self.bounds_of = bounds_of
-        self.min_x = array("d", (bounds_of[s][0] for s in segment_list))
-        self.min_y = array("d", (bounds_of[s][1] for s in segment_list))
-        self.max_x = array("d", (bounds_of[s][2] for s in segment_list))
-        self.max_y = array("d", (bounds_of[s][3] for s in segment_list))
+        min_x, min_y, max_x, max_y = (
+            zip(*map(bounds_of.__getitem__, segment_list))
+            if segment_list
+            else ((), (), (), ())
+        )
+        self.min_x = array("d", min_x)
+        self.min_y = array("d", min_y)
+        self.max_x = array("d", max_x)
+        self.max_y = array("d", max_y)
 
         # Global (length, id) rank — the protocol's canonical ordering.
         # Comparing two members by rank is one int comparison instead of a
         # (float, int) tuple compare, which is what makes the maintained
         # length ordering and the per-step candidate sorts cheap.
-        by_length = sorted(segment_list, key=lambda s: (length_of[s], s))
+        by_length = sorted(segment_list, key=network.length_sort_keys().__getitem__)
         self.rank_to_id = tuple(by_length)
         rank_of: Dict[int, int] = {
             segment_id: rank for rank, segment_id in enumerate(by_length)
         }
         self.rank_of = rank_of
-        self.length_rank = array("l", (rank_of[s] for s in segment_list))
+        self.length_rank = array("l", map(rank_of.__getitem__, segment_list))
 
         self._local = threading.local()
 

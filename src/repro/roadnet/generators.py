@@ -27,11 +27,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-import numpy as np
-from scipy.spatial import Delaunay
-
 from ..errors import RoadNetworkError
-from .graph import RoadNetwork, RoadNetworkBuilder
+from .graph import RoadNetwork, RoadNetworkBuilder, gc_paused
 
 __all__ = [
     "grid_network",
@@ -52,6 +49,7 @@ ATLANTA_JUNCTIONS = 6979
 ATLANTA_SEGMENTS = 9187
 
 
+@gc_paused
 def grid_network(rows: int, cols: int, spacing: float = 100.0, name: str = "") -> RoadNetwork:
     """A ``rows`` x ``cols`` junction grid with all horizontal/vertical streets.
 
@@ -133,28 +131,7 @@ def radial_network(
     return builder.build()
 
 
-class _UnionFind:
-    """Union-find with path compression, used by the Delaunay pruner."""
-
-    def __init__(self, n: int) -> None:
-        self._parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self._parent[rb] = ra
-        return True
-
-
+@gc_paused
 def random_delaunay_network(
     n_junctions: int,
     target_segments: int,
@@ -186,47 +163,60 @@ def random_delaunay_network(
             f"target_segments={target_segments} cannot connect "
             f"{n_junctions} junctions (need >= {n_junctions - 1})"
         )
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(0.0, extent, size=(n_junctions, 2))
-    triangulation = Delaunay(points)
+    # Local imports: scipy serves this generator alone and numpy only the
+    # seeded generators, so a process whose maps never triangulate (grids,
+    # fixtures, wire documents) loads neither.
+    import numpy as np
+    from scipy.spatial import Delaunay
+
+    drawn = np.random.default_rng(seed).uniform(0.0, extent, size=(n_junctions, 2))
+    simplices = Delaunay(drawn).simplices.tolist()
+    points = drawn.tolist()
 
     edges = set()
-    for simplex in triangulation.simplices:
-        a, b, c = int(simplex[0]), int(simplex[1]), int(simplex[2])
-        edges.add((min(a, b), max(a, b)))
-        edges.add((min(b, c), max(b, c)))
-        edges.add((min(a, c), max(a, c)))
+    for a, b, c in simplices:
+        edges.add((a, b) if a < b else (b, a))
+        edges.add((b, c) if b < c else (c, b))
+        edges.add((a, c) if a < c else (c, a))
     if target_segments > len(edges):
         raise RoadNetworkError(
             f"target_segments={target_segments} exceeds the {len(edges)} "
             f"Delaunay edges available"
         )
 
-    def edge_length(edge: Tuple[int, int]) -> float:
-        pa, pb = points[edge[0]], points[edge[1]]
-        return float(math.hypot(pa[0] - pb[0], pa[1] - pb[1]))
+    # Shortest first, ties by junction pair: Kruskal's spanning tree, with
+    # the edges it rejects kept in the same order as the extras.
+    hypot = math.hypot
+    ordered = sorted(
+        (hypot(points[a][0] - points[b][0], points[a][1] - points[b][1]), a, b)
+        for a, b in edges
+    )
+    parent = list(range(n_junctions))
 
-    ordered = sorted(edges, key=lambda e: (edge_length(e), e))
-    union_find = _UnionFind(n_junctions)
-    tree_edges: List[Tuple[int, int]] = []
-    extra_edges: List[Tuple[int, int]] = []
-    for edge in ordered:
-        if union_find.union(edge[0], edge[1]):
-            tree_edges.append(edge)
+    def root_of(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    tree_edges: List[Tuple[int, int, float]] = []
+    extra_edges: List[Tuple[int, int, float]] = []
+    for length, a, b in ordered:
+        root_a, root_b = root_of(a), root_of(b)
+        if root_a != root_b:
+            parent[root_b] = root_a
+            tree_edges.append((a, b, length))
         else:
-            extra_edges.append(edge)
+            extra_edges.append((a, b, length))
     chosen = tree_edges + extra_edges[: target_segments - len(tree_edges)]
     chosen.sort()
 
     builder = RoadNetworkBuilder(
         name=name or f"delaunay-{n_junctions}j-{target_segments}s-seed{seed}"
     )
-    for junction_id in range(n_junctions):
-        builder.add_junction(
-            junction_id, float(points[junction_id][0]), float(points[junction_id][1])
-        )
-    for segment_id, (a, b) in enumerate(chosen):
-        builder.add_segment(segment_id, a, b)
+    for junction_id, (x, y) in enumerate(points):
+        builder.add_junction(junction_id, x, y)
+    for segment_id, (a, b, length) in enumerate(chosen):
+        builder.add_segment(segment_id, a, b, length)
     return builder.build()
 
 

@@ -15,9 +15,12 @@ networks with :class:`RoadNetworkBuilder` or the generators in
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -26,6 +29,7 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    TypeVar,
 )
 
 from ..errors import (
@@ -43,6 +47,31 @@ __all__ = [
     "RoadNetworkBuilder",
     "removable_segments",
 ]
+
+_Built = TypeVar("_Built")
+
+
+def gc_paused(build: Callable[..., _Built]) -> Callable[..., _Built]:
+    """Run ``build`` with the cyclic garbage collector paused.
+
+    Building a map allocates tens of thousands of small containers, none
+    of them in a reference cycle. With the collector on, each burst of
+    allocations triggers collections that walk every live object of the
+    process (the map built so far and every imported module) and free
+    nothing. Nested calls leave the switch to the outermost one.
+    """
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs) -> _Built:
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def removable_segments(neighbors_of, region: AbstractSet[int]) -> Tuple[int, ...]:
@@ -199,6 +228,7 @@ class RoadNetwork:
     * deterministic global orderings (used by transition tables).
     """
 
+    @gc_paused
     def __init__(
         self,
         junctions: Mapping[int, Junction],
@@ -208,8 +238,7 @@ class RoadNetwork:
         self._name = name
         self._junctions: Dict[int, Junction] = dict(junctions)
         self._segments: Dict[int, Segment] = dict(segments)
-        self._validate()
-        self._segments_at_junction: Dict[int, Tuple[int, ...]] = self._index_junctions()
+        self._segments_at_junction: Dict[int, Tuple[int, ...]] = self._validate_and_index()
         self._neighbors: Dict[int, Tuple[int, ...]] = self._index_neighbors()
         # Hot-path caches: tolerance checks and spatial indexing look up
         # segment lengths constantly, and several callers need the whole
@@ -232,57 +261,58 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
-        for junction_id, junction in self._junctions.items():
+    def _validate_and_index(self) -> Dict[int, Tuple[int, ...]]:
+        """Check the whole graph in one pass over each table; returns the
+        ascending incident-segment ids of every junction."""
+        junctions = self._junctions
+        for junction_id, junction in junctions.items():
             if junction.junction_id != junction_id:
                 raise RoadNetworkError(
                     f"junction key {junction_id} does not match id "
                     f"{junction.junction_id}"
                 )
+        at: Dict[int, List[int]] = {junction_id: [] for junction_id in junctions}
         seen_pairs: Dict[Tuple[int, int], int] = {}
         for segment_id, segment in self._segments.items():
             if segment.segment_id != segment_id:
                 raise RoadNetworkError(
                     f"segment key {segment_id} does not match id {segment.segment_id}"
                 )
-            for endpoint in segment.endpoints():
-                if endpoint not in self._junctions:
-                    raise UnknownJunctionError(endpoint)
-            if segment.junction_a == segment.junction_b:
+            a, b = segment.junction_a, segment.junction_b
+            if a not in junctions:
+                raise UnknownJunctionError(a)
+            if b not in junctions:
+                raise UnknownJunctionError(b)
+            if a == b:
                 raise RoadNetworkError(
-                    f"segment {segment_id} is a self-loop at junction "
-                    f"{segment.junction_a}"
+                    f"segment {segment_id} is a self-loop at junction {a}"
                 )
             if segment.length <= 0.0:
                 raise RoadNetworkError(
                     f"segment {segment_id} has non-positive length {segment.length}"
                 )
-            pair = (
-                min(segment.junction_a, segment.junction_b),
-                max(segment.junction_a, segment.junction_b),
-            )
-            if pair in seen_pairs:
+            pair = (a, b) if a < b else (b, a)
+            first = seen_pairs.setdefault(pair, segment_id)
+            if first != segment_id:
                 raise RoadNetworkError(
-                    f"segments {seen_pairs[pair]} and {segment_id} duplicate the "
+                    f"segments {first} and {segment_id} duplicate the "
                     f"junction pair {pair}"
                 )
-            seen_pairs[pair] = segment_id
-
-    def _index_junctions(self) -> Dict[int, Tuple[int, ...]]:
-        at: Dict[int, List[int]] = {jid: [] for jid in self._junctions}
-        for segment in self._segments.values():
-            at[segment.junction_a].append(segment.segment_id)
-            at[segment.junction_b].append(segment.segment_id)
-        return {jid: tuple(sorted(sids)) for jid, sids in at.items()}
+            at[a].append(segment_id)
+            at[b].append(segment_id)
+        return {junction_id: tuple(sorted(sids)) for junction_id, sids in at.items()}
 
     def _index_neighbors(self) -> Dict[int, Tuple[int, ...]]:
+        # Two segments share at most one junction (duplicate pairs are
+        # rejected above), so the two incident lists overlap in the
+        # segment itself only.
+        at = self._segments_at_junction
         neighbors: Dict[int, Tuple[int, ...]] = {}
-        for segment in self._segments.values():
-            linked = set()
-            for junction_id in segment.endpoints():
-                linked.update(self._segments_at_junction[junction_id])
-            linked.discard(segment.segment_id)
-            neighbors[segment.segment_id] = tuple(sorted(linked))
+        for segment_id, segment in self._segments.items():
+            linked = sorted(at[segment.junction_a] + at[segment.junction_b])
+            linked.remove(segment_id)
+            linked.remove(segment_id)
+            neighbors[segment_id] = tuple(linked)
         return neighbors
 
     def length_sort_keys(self) -> Dict[int, Tuple[float, int]]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Union
 
 from ..errors import RoadNetworkError
-from .graph import RoadNetwork, RoadNetworkBuilder
+from .graph import RoadNetwork, RoadNetworkBuilder, gc_paused
 
 __all__ = [
     "network_to_dict",
@@ -56,6 +56,7 @@ def network_to_dict(network: RoadNetwork) -> dict:
     }
 
 
+@gc_paused
 def network_from_dict(document: dict) -> RoadNetwork:
     """Rebuild a network from :func:`network_to_dict` output."""
     if document.get("format") != "repro.roadnet":

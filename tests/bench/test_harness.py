@@ -54,3 +54,13 @@ class TestResultTable:
     def test_results_dir_created(self, tmp_path):
         directory = results_dir(tmp_path / "nested" / "results")
         assert directory.exists()
+
+    def test_default_dir_is_ignored_unless_requested(self, monkeypatch):
+        from repro.bench.harness import WRITE_RESULTS_ENV
+
+        monkeypatch.delenv(WRITE_RESULTS_ENV, raising=False)
+        scratch = results_dir()
+        assert scratch.name == "latest"
+        assert scratch.parent.name == "results"
+        monkeypatch.setenv(WRITE_RESULTS_ENV, "1")
+        assert results_dir() == scratch.parent

@@ -6,6 +6,7 @@ import pytest
 
 from repro.roadnet import (
     CompiledNetwork,
+    atlanta_like,
     compiled_network,
     geometry_digest,
     grid_network,
@@ -124,3 +125,28 @@ class TestSharing:
         assert geometry_digest(flat) != geometry_digest(bent)
         assert flat.compiled() is not bent.compiled()
         assert isinstance(flat.compiled(), CompiledNetwork)
+
+
+class TestPinnedDigests:
+    """The serving maps, pinned to literal digests.
+
+    Every committed benchmark figure and golden envelope was produced on
+    these maps, so a faster generator, build or compile must reproduce
+    them bit for bit — a self-consistency check would miss a change that
+    is merely deterministic.
+    """
+
+    @pytest.mark.parametrize(
+        "build, wire, geometry",
+        [
+            (lambda: grid_network(71, 71), "782f7f684a2c3c61", "84d3a975e6ca7a0a943fcf2d"),
+            (atlanta_like, "2a9c15a7bfe7e271", "51f319d1ef1e30827370cd13"),
+        ],
+        ids=["grid71", "atlanta"],
+    )
+    def test_serving_map_digests(self, build, wire, geometry):
+        from repro.core.envelope import network_digest
+
+        network = build()
+        assert network_digest(network) == wire
+        assert geometry_digest(network) == geometry

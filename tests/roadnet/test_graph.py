@@ -190,3 +190,32 @@ class TestRegions:
     def test_ordering_deterministic(self, tiny):
         assert tiny.segment_ids() == (0, 1, 2)
         assert tiny.junction_ids() == (0, 1, 2, 3)
+
+
+class TestCollectorPause:
+    """Map construction pauses the cyclic collector and always restores it."""
+
+    def test_collector_back_on_after_build_and_after_a_failed_build(self):
+        import gc
+
+        assert gc.isenabled()
+        grid_network(4, 4).compiled()
+        assert gc.isenabled()
+        builder = RoadNetworkBuilder()
+        builder.add_junction(0, 0, 0)
+        builder.add_junction(1, 1, 0)
+        builder.add_segment(0, 0, 1)
+        builder.add_segment(1, 1, 0)  # duplicate junction pair
+        with pytest.raises(RoadNetworkError):
+            builder.build()
+        assert gc.isenabled()
+
+    def test_collector_left_off_when_the_caller_turned_it_off(self):
+        import gc
+
+        gc.disable()
+        try:
+            grid_network(3, 3)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

@@ -1,9 +1,10 @@
-"""Expansion/peel scaling benchmark: incremental RegionState vs recompute.
+"""Expansion/peel scaling benchmark of the engine's production path.
 
-Times anonymize and de-anonymize across map sizes (~1k/5k/10k segments)
-and region sizes, for both algorithms, with the incremental region state
-on (`ReverseCloakEngine(incremental=True)`, the default) and off (the
-seed-era from-scratch recomputes). Writes:
+Times anonymize and de-anonymize (hint and search mode) across map sizes
+(~1k/5k/10k segments) and region sizes, for both algorithms. Each measured
+envelope is first checked against the cache-free reference of
+``tests/reference.py`` on the smallest map, so the timed path is the one
+the differential tests pin. Writes:
 
 * ``BENCH_expansion.json`` at the repo root — machine-readable trajectory
   for future PRs to diff against;
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -28,12 +30,16 @@ from repro import (
     PopulationSnapshot,
     PrivacyProfile,
     ReverseCloakEngine,
+    ReversibleGlobalExpansion,
     ReversiblePreassignmentExpansion,
     grid_network,
 )
 from repro.bench import ResultTable
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+
+import reference  # noqa: E402
 
 #: (grid side, segment count) — grids of n*n junctions have 2n(n-1) segments.
 FULL_MAPS = ((23, 1012), (51, 5100), (71, 9940))
@@ -87,19 +93,14 @@ def run(quick: bool, repeats: int) -> dict:
     regions = QUICK_REGIONS if quick else FULL_REGIONS
     table = ResultTable(
         "BENCH_EXPANSION",
-        "Anonymize/de-anonymize scaling: incremental RegionState vs recompute "
-        "(best-of-%d, ms)" % repeats,
+        "Anonymize/de-anonymize scaling (best-of-%d, ms)" % repeats,
         [
             "map_segments",
             "region_segments",
             "algorithm",
             "anon_ms",
-            "anon_legacy_ms",
-            "anon_speedup",
             "hint_ms",
-            "hint_legacy_ms",
             "search_ms",
-            "search_legacy_ms",
         ],
     )
     rows = []
@@ -111,37 +112,28 @@ def run(quick: bool, repeats: int) -> dict:
         )
         user = network.segment_ids()[len(network.segment_ids()) // 2]
         algorithms = {
-            "rge": None,
+            "rge": ReversibleGlobalExpansion(),
             "rple": ReversiblePreassignmentExpansion.for_network(network),
         }
         for target in regions:
             profile = profile_for_region(target)
             for algo_name, algorithm in algorithms.items():
                 fast = ReverseCloakEngine(network, algorithm)
-                # Legacy = the seed-era configuration: from-scratch region
-                # recomputes AND per-call PRF draws.
-                slow = ReverseCloakEngine(
-                    network, algorithm, incremental=False, batched_prf=False
-                )
                 envelope = fast.anonymize(user, snapshot, profile, chain)
-                assert envelope == slow.anonymize(user, snapshot, profile, chain)
+                if segment_count == maps[0][1]:
+                    assert envelope == reference.anonymize(
+                        network, algorithm, user, snapshot, profile, chain
+                    ).envelope
                 region_segments = len(envelope.region)
 
                 anon_ms = _time(
                     lambda: fast.anonymize(user, snapshot, profile, chain), repeats
                 )
-                anon_legacy_ms = _time(
-                    lambda: slow.anonymize(user, snapshot, profile, chain), repeats
-                )
                 hint_ms = _time(
                     lambda: fast.deanonymize(envelope, chain, 0, mode="hint"),
                     repeats,
                 )
-                hint_legacy_ms = _time(
-                    lambda: slow.deanonymize(envelope, chain, 0, mode="hint"),
-                    repeats,
-                )
-                search_ms = search_legacy_ms = None
+                search_ms = None
                 if target <= SEARCH_REGION_CAP:
                     search_chain = KeyChain.from_passphrases(["bench-x-s"])
                     blind = fast.anonymize(
@@ -157,32 +149,20 @@ def run(quick: bool, repeats: int) -> dict:
                         ),
                         repeats,
                     )
-                    search_legacy_ms = _time(
-                        lambda: slow.deanonymize(
-                            blind, search_chain, 0, mode="search"
-                        ),
-                        repeats,
-                    )
                 row = {
                     "map_segments": segment_count,
                     "region_segments": region_segments,
                     "algorithm": algo_name,
                     "anon_ms": round(anon_ms, 3),
-                    "anon_legacy_ms": round(anon_legacy_ms, 3),
-                    "anon_speedup": round(anon_legacy_ms / anon_ms, 2),
                     "hint_ms": round(hint_ms, 3),
-                    "hint_legacy_ms": round(hint_legacy_ms, 3),
                     "search_ms": None if search_ms is None else round(search_ms, 3),
-                    "search_legacy_ms": (
-                        None if search_legacy_ms is None else round(search_legacy_ms, 3)
-                    ),
                 }
                 rows.append(row)
                 table.add_row(**row)
                 print(
                     f"map={segment_count} region={region_segments} "
-                    f"algo={algo_name}: anonymize {anon_legacy_ms:.1f} -> "
-                    f"{anon_ms:.1f} ms ({anon_legacy_ms / anon_ms:.1f}x)"
+                    f"algo={algo_name}: anonymize {anon_ms:.1f} ms, "
+                    f"hint peel {hint_ms:.1f} ms"
                 )
     table.print_and_save()
     largest = max(m for _, m in maps)
@@ -193,7 +173,6 @@ def run(quick: bool, repeats: int) -> dict:
         and row["region_segments"]
         >= max(r["region_segments"] for r in rows if r["map_segments"] == largest)
     ]
-    speedups = {row["algorithm"]: row["anon_speedup"] for row in biggest_regions}
     return {
         "benchmark": "bench_expansion",
         "quick": quick,
@@ -201,21 +180,12 @@ def run(quick: bool, repeats: int) -> dict:
         "rows": rows,
         "summary": {
             "largest_map_segments": largest,
-            "anonymize_speedup_at_largest_map_largest_region": speedups,
-            # RGE is the engine's default algorithm and the one with the
-            # quadratic recompute trap this PR removes; RPLE's legacy path
-            # was already local/near-linear by design, so its ratio is
-            # smaller (its own quadratic term — per-slot region copies —
-            # is removed too, and its speedup grows with region size).
-            "anonymize_speedup_default_algorithm": speedups.get("rge"),
-            "meets_5x_anonymize_at_10k_large_regions": (
-                speedups.get("rge", 0) >= 5.0
-            ),
-            "search_never_slower": all(
-                row["search_ms"] <= row["search_legacy_ms"] * 1.25
-                for row in rows
-                if row["search_ms"] is not None
-            ),
+            "anonymize_ms_at_largest_map_largest_region": {
+                row["algorithm"]: row["anon_ms"] for row in biggest_regions
+            },
+            "hint_ms_at_largest_map_largest_region": {
+                row["algorithm"]: row["hint_ms"] for row in biggest_regions
+            },
         },
     }
 

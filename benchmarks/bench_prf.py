@@ -1,17 +1,15 @@
-"""PRF-plane and batch-serving benchmark (PR 2 trajectory).
+"""PRF-plane benchmark.
 
-Three measurements:
+Two measurements:
 
 1. **Draw microbench** — per-call ``keyed_draw`` vs the batched plane
    (``LevelDraws`` sequential serving and raw ``prf_block``), plus the
    stdlib ``hmac.new`` construction the seed used, in ns/draw.
-2. **Anonymize** — RGE and RPLE at the trajectory workload (10k-segment
-   map, ~500-segment regions; small map with ``--quick``), batched
-   (``ReverseCloakEngine`` default) vs per-call (``batched_prf=False``) vs
-   seed-legacy (``batched_prf=False, incremental=False``), asserting
-   byte-identical envelopes across all three.
-3. **Batch throughput** — ``TrustedAnonymizer.cloak_batch`` requests/sec
-   across thread-pool widths, vs sequential single-request serving.
+2. **Anonymize** — RGE and RPLE through the engine (which draws every
+   level through one ``LevelDraws`` buffer) at the trajectory workload
+   (10k-segment map, ~500-segment regions; small map with ``--quick``).
+
+Batch-serving throughput lives in ``bench_serving.py``.
 
 Writes ``BENCH_prf.json`` at the repo root (``BENCH_prf.quick.json`` for
 ``--quick`` CI smoke runs, which never clobber the committed full-sweep
@@ -43,7 +41,6 @@ from repro import (
 from repro.bench import ResultTable
 from repro.core.algorithm import LevelDraws, keyed_draw
 from repro.keys import AccessKey, prf_block
-from repro.lbs import CloakRequest, TrustedAnonymizer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,9 +50,6 @@ FULL_REGION = 500
 QUICK_REGION = 40
 FULL_DRAWS = 4096
 QUICK_DRAWS = 512
-FULL_BATCH = 64
-QUICK_BATCH = 12
-WORKER_WIDTHS = (1, 2, 4, 8)
 
 
 def _best(fn, repeats: int) -> float:
@@ -137,93 +131,22 @@ def bench_anonymize(quick: bool, repeats: int) -> list:
         ("rge", None),
         ("rple", ReversiblePreassignmentExpansion.for_network(network)),
     ):
-        batched = ReverseCloakEngine(network, algorithm)
-        per_call = ReverseCloakEngine(network, algorithm, batched_prf=False)
-        legacy = ReverseCloakEngine(
-            network, algorithm, batched_prf=False, incremental=False
-        )
-        envelope = batched.anonymize(user, snapshot, profile, chain)
-        assert envelope == per_call.anonymize(user, snapshot, profile, chain)
-        assert envelope == legacy.anonymize(user, snapshot, profile, chain)
-        batched_ms = _best(
-            lambda: batched.anonymize(user, snapshot, profile, chain), repeats
-        )
-        per_call_ms = _best(
-            lambda: per_call.anonymize(user, snapshot, profile, chain), repeats
-        )
-        legacy_ms = _best(
-            lambda: legacy.anonymize(user, snapshot, profile, chain),
-            max(1, repeats - 1),
+        engine = ReverseCloakEngine(network, algorithm)
+        envelope = engine.anonymize(user, snapshot, profile, chain)
+        anon_ms = _best(
+            lambda: engine.anonymize(user, snapshot, profile, chain), repeats
         )
         rows.append(
             {
                 "map_segments": segments,
                 "region_segments": len(envelope.region),
                 "algorithm": algo_name,
-                "anon_batched_ms": round(batched_ms, 3),
-                "anon_percall_ms": round(per_call_ms, 3),
-                "anon_seed_legacy_ms": round(legacy_ms, 3),
-                "batched_vs_percall": round(per_call_ms / batched_ms, 2),
-                "improvement_vs_seed": round(legacy_ms / batched_ms, 2),
+                "anon_ms": round(anon_ms, 3),
             }
         )
         print(
             f"anonymize map={segments} region={len(envelope.region)} "
-            f"algo={algo_name}: batched {batched_ms:.2f} ms, per-call "
-            f"{per_call_ms:.2f} ms, seed-legacy {legacy_ms:.2f} ms"
-        )
-    return rows
-
-
-def bench_batch_serving(quick: bool, repeats: int) -> list:
-    side = QUICK_MAP_SIDE if quick else FULL_MAP_SIDE
-    segments = QUICK_MAP_SEGMENTS if quick else FULL_MAP_SEGMENTS
-    network = grid_network(side, side)
-    snapshot = PopulationSnapshot.from_counts(
-        {sid: 2 for sid in network.segment_ids()}
-    )
-    batch_size = QUICK_BATCH if quick else FULL_BATCH
-    # Modest per-request regions: batch throughput should measure serving
-    # overheads and parallel scaling, not one giant expansion.
-    profile = PrivacyProfile.uniform(
-        levels=2, base_k=20, k_step=20, base_l=3, l_step=1, max_segments=80
-    )
-    server = TrustedAnonymizer(network)
-    server.update_snapshot(snapshot)
-    requests = [
-        CloakRequest(
-            user_id=user_id,
-            profile=profile,
-            chain=KeyChain.from_passphrases([f"b{user_id}-1", f"b{user_id}-2"]),
-        )
-        for user_id in snapshot.users()[:batch_size]
-    ]
-    sequential = [server.cloak(request) for request in requests]
-    rows = []
-    sequential_ms = _best(
-        lambda: [server.cloak(request) for request in requests], repeats
-    )
-    for width in WORKER_WIDTHS:
-        outcomes = server.cloak_batch(requests, max_workers=width)
-        assert [o.envelope for o in outcomes] == sequential
-        batch_ms = _best(
-            lambda: server.cloak_batch(requests, max_workers=width), repeats
-        )
-        rows.append(
-            {
-                "map_segments": segments,
-                "batch_size": batch_size,
-                "workers": width,
-                "sequential_ms": round(sequential_ms, 3),
-                "batch_ms": round(batch_ms, 3),
-                "throughput_rps": round(batch_size / (batch_ms / 1000.0), 1),
-                "speedup_vs_sequential": round(sequential_ms / batch_ms, 2),
-            }
-        )
-        print(
-            f"batch map={segments} size={batch_size} workers={width}: "
-            f"{batch_ms:.2f} ms ({batch_size / (batch_ms / 1000.0):.0f} req/s, "
-            f"{sequential_ms / batch_ms:.2f}x vs sequential)"
+            f"algo={algo_name}: {anon_ms:.2f} ms"
         )
     return rows
 
@@ -236,62 +159,25 @@ def run(quick: bool, repeats: int) -> dict:
         % draw_stats
     )
     anon_rows = bench_anonymize(quick, repeats)
-    batch_rows = bench_batch_serving(quick, repeats)
 
     table = ResultTable(
         "BENCH_PRF",
-        "Batched PRF plane and concurrent batch serving (best-of-%d, ms)"
-        % repeats,
-        [
-            "map_segments",
-            "region_segments",
-            "algorithm",
-            "anon_batched_ms",
-            "anon_percall_ms",
-            "anon_seed_legacy_ms",
-            "batched_vs_percall",
-            "improvement_vs_seed",
-        ],
+        "Anonymize on the batched PRF plane (best-of-%d, ms)" % repeats,
+        ["map_segments", "region_segments", "algorithm", "anon_ms"],
     )
     for row in anon_rows:
         table.add_row(**row)
     table.print_and_save()
 
-    batch_table = ResultTable(
-        "BENCH_PRF_BATCH",
-        "cloak_batch throughput across thread-pool widths (best-of-%d)"
-        % repeats,
-        [
-            "map_segments",
-            "batch_size",
-            "workers",
-            "sequential_ms",
-            "batch_ms",
-            "throughput_rps",
-            "speedup_vs_sequential",
-        ],
-    )
-    for row in batch_rows:
-        batch_table.add_row(**row)
-    batch_table.print_and_save()
-
-    rple = next(r for r in anon_rows if r["algorithm"] == "rple")
-    best_batch = max(batch_rows, key=lambda r: r["throughput_rps"])
     return {
         "benchmark": "bench_prf",
         "quick": quick,
         "repeats": repeats,
         "draws": draw_stats,
         "anonymize": anon_rows,
-        "batch_serving": batch_rows,
         "summary": {
-            "rple_anonymize_improvement_vs_seed_legacy": rple[
-                "improvement_vs_seed"
-            ],
-            "rple_anonymize_batched_vs_percall": rple["batched_vs_percall"],
+            "anonymize_ms": {row["algorithm"]: row["anon_ms"] for row in anon_rows},
             "draw_batched_vs_percall": draw_stats["batched_vs_per_call"],
-            "best_batch_throughput_rps": best_batch["throughput_rps"],
-            "best_batch_workers": best_batch["workers"],
         },
     }
 
@@ -299,7 +185,7 @@ def run(quick: bool, repeats: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--quick", action="store_true", help="small map / small batch CI smoke"
+        "--quick", action="store_true", help="small map / few draws CI smoke"
     )
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()

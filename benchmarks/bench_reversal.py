@@ -1,16 +1,10 @@
 """De-anonymization scaling benchmark: the reversal plane's trajectory.
 
 Dedicated reversal rows (PR 4): hint-mode and search-mode peeling across
-map and region sizes, for both algorithms, at three points of the
-implementation trajectory:
-
-* **undo** — the default engine: one checkpoint/rollback region state per
-  peel, cross-budget hypothesis/interval memos, compiled CSR network
-  (``ReverseCloakEngine()``);
-* **clone** — the PR 1-3 search discipline: incremental states derived by
-  clone-per-region (``undo_log=False``), the equivalence oracle;
-* **legacy** — the seed-era configuration: from-scratch recomputes and
-  per-call PRF draws (``incremental=False, batched_prf=False``).
+map and region sizes, for both algorithms, on the engine's one production
+path — one checkpoint/rollback region state per peel, cross-budget
+hypothesis/interval memos, compiled CSR network. Every timed peel is first
+checked to recover the user's segment.
 
 Writes ``BENCH_reversal.json`` at the repo root (the machine-readable
 trajectory future PRs diff against) plus the usual ``ResultTable``
@@ -58,20 +52,8 @@ def run(quick: bool, repeats: int) -> dict:
     regions = QUICK_REGIONS if quick else FULL_REGIONS
     table = ResultTable(
         "BENCH_REVERSAL",
-        "De-anonymize scaling: undo-log search vs clone-derived vs legacy "
-        "(best-of-%d, ms)" % repeats,
-        [
-            "map_segments",
-            "region_segments",
-            "algorithm",
-            "hint_ms",
-            "hint_clone_ms",
-            "hint_legacy_ms",
-            "search_ms",
-            "search_clone_ms",
-            "search_legacy_ms",
-            "search_speedup_vs_clone",
-        ],
+        "De-anonymize scaling (best-of-%d, ms)" % repeats,
+        ["map_segments", "region_segments", "algorithm", "hint_ms", "search_ms"],
     )
     rows = []
     # Same keyed workload as bench_expansion, so the search sweep point
@@ -91,60 +73,30 @@ def run(quick: bool, repeats: int) -> dict:
         for target in regions:
             profile = profile_for_region(target)
             for algo_name, algorithm in algorithms.items():
-                undo = ReverseCloakEngine(network, algorithm)
-                clone = ReverseCloakEngine(network, algorithm, undo_log=False)
-                legacy = ReverseCloakEngine(
-                    network, algorithm, incremental=False, batched_prf=False
-                )
-                envelope = undo.anonymize(user, snapshot, profile, chain)
+                engine = ReverseCloakEngine(network, algorithm)
+                envelope = engine.anonymize(user, snapshot, profile, chain)
                 region_segments = len(envelope.region)
 
-                reference = undo.deanonymize(envelope, chain, 0, mode="hint")
-                assert reference == clone.deanonymize(envelope, chain, 0, mode="hint")
-                assert reference == legacy.deanonymize(envelope, chain, 0, mode="hint")
+                result = engine.deanonymize(envelope, chain, 0, mode="hint")
+                assert result.region_at(0) == (user,)
                 hint_ms = _time(
-                    lambda: undo.deanonymize(envelope, chain, 0, mode="hint"),
+                    lambda: engine.deanonymize(envelope, chain, 0, mode="hint"),
                     repeats,
                 )
-                hint_clone_ms = _time(
-                    lambda: clone.deanonymize(envelope, chain, 0, mode="hint"),
-                    repeats,
-                )
-                hint_legacy_ms = _time(
-                    lambda: legacy.deanonymize(envelope, chain, 0, mode="hint"),
-                    repeats,
-                )
-                search_ms = search_clone_ms = search_legacy_ms = None
+                search_ms = None
                 if target <= SEARCH_REGION_CAP:
                     search_chain = KeyChain.from_passphrases(["bench-x-s"])
-                    blind = undo.anonymize(
+                    blind = engine.anonymize(
                         user,
                         snapshot,
                         search_profile_for_region(target),
                         search_chain,
                         include_hints=False,
                     )
-                    truth = undo.deanonymize(blind, search_chain, 0, mode="search")
-                    assert truth == clone.deanonymize(
-                        blind, search_chain, 0, mode="search"
-                    )
-                    assert truth == legacy.deanonymize(
-                        blind, search_chain, 0, mode="search"
-                    )
+                    truth = engine.deanonymize(blind, search_chain, 0, mode="search")
+                    assert truth.region_at(0) == (user,)
                     search_ms = _time(
-                        lambda: undo.deanonymize(
-                            blind, search_chain, 0, mode="search"
-                        ),
-                        repeats,
-                    )
-                    search_clone_ms = _time(
-                        lambda: clone.deanonymize(
-                            blind, search_chain, 0, mode="search"
-                        ),
-                        repeats,
-                    )
-                    search_legacy_ms = _time(
-                        lambda: legacy.deanonymize(
+                        lambda: engine.deanonymize(
                             blind, search_chain, 0, mode="search"
                         ),
                         repeats,
@@ -154,31 +106,16 @@ def run(quick: bool, repeats: int) -> dict:
                     "region_segments": region_segments,
                     "algorithm": algo_name,
                     "hint_ms": round(hint_ms, 3),
-                    "hint_clone_ms": round(hint_clone_ms, 3),
-                    "hint_legacy_ms": round(hint_legacy_ms, 3),
                     "search_ms": None if search_ms is None else round(search_ms, 3),
-                    "search_clone_ms": (
-                        None if search_clone_ms is None else round(search_clone_ms, 3)
-                    ),
-                    "search_legacy_ms": (
-                        None
-                        if search_legacy_ms is None
-                        else round(search_legacy_ms, 3)
-                    ),
-                    "search_speedup_vs_clone": (
-                        None
-                        if search_ms is None
-                        else round(search_clone_ms / search_ms, 2)
-                    ),
                 }
                 rows.append(row)
                 table.add_row(**row)
                 label = (
                     f"map={segment_count} region={region_segments} algo={algo_name}:"
-                    f" hint {hint_legacy_ms:.1f} -> {hint_ms:.1f} ms"
+                    f" hint {hint_ms:.1f} ms"
                 )
                 if search_ms is not None:
-                    label += f", search {search_legacy_ms:.1f} -> {search_ms:.1f} ms"
+                    label += f", search {search_ms:.1f} ms"
                 print(label)
     table.print_and_save()
     smallest = min(m for _, m in maps)
@@ -200,16 +137,6 @@ def run(quick: bool, repeats: int) -> dict:
             "search_ms": {
                 name: row["search_ms"] for name, row in sweep.items()
             },
-            "search_speedup_vs_clone": {
-                name: row["search_speedup_vs_clone"] for name, row in sweep.items()
-            },
-            "search_speedup_vs_legacy": {
-                name: round(row["search_legacy_ms"] / row["search_ms"], 2)
-                for name, row in sweep.items()
-            },
-            "hint_never_slower_than_clone": all(
-                row["hint_ms"] <= row["hint_clone_ms"] * 1.25 for row in rows
-            ),
         },
     }
 

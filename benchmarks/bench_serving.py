@@ -1,22 +1,21 @@
-"""Serving-backend benchmark (PR 3 trajectory): inline vs thread pool vs
-sharded process pool — cloaking and, since PR 5, batched de-anonymization.
+"""Serving-backend benchmark: inline vs sharded process pool — cloaking and
+batched de-anonymization.
 
 Measures ``AnonymizerService.cloak_batch`` requests/sec on the trajectory
 workload (10k-segment map, 64-request batches; small map with ``--quick``)
-across the three execution backends at several worker widths, asserting
+across the execution backends at several worker widths, asserting
 byte-identical envelopes between every backend and sequential single-request
-serving. The thread-pool rows reproduce PR 2's ``cloak_batch`` measurement
-(GIL-bound, so widths > 1 measure overhead); the process-pool rows are the
-PR 3 cross-process path, where each worker holds its own engine against
-a per-batch snapshot shipped as wire documents.
+serving. The process-pool rows are the cross-process path, where each
+worker holds its own engine against a per-batch snapshot shipped as wire
+documents.
 
 The PR 5 reversal section measures ``AnonymizerService.deanonymize_batch``
 peels/sec over the same envelopes, in hint and search modes, across the
 same backends — the first time the system's slowest serving operation
 rides the execution seam at all. Reversal is snapshot-free pure CPU, so
-unlike GIL-bound cloaking threads, process-pool shards genuinely
-parallelise it on multi-core hardware (a 1-CPU container measures the
-wire overhead floor instead — the number to beat is inline).
+process-pool shards genuinely parallelise it on multi-core hardware (a
+1-CPU container measures the wire overhead floor instead — the number to
+beat is inline).
 
 The PR 6 faulted section prices supervision: the same cloaking workload
 runs through the process pool clean and then under a deterministic fault
@@ -62,7 +61,6 @@ from repro.lbs import (
     InlineBackend,
     OutcomeDoc,
     ProcessPoolBackend,
-    ThreadPoolBackend,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -84,11 +82,6 @@ FAULT_REPEATS = 3
 #: Supervised recovery must keep faulted throughput at or above this
 #: fraction of the clean run — the fault-tolerance overhead budget.
 FAULTED_MIN_RATIO = 0.8
-
-#: PR 2's recorded thread-pool serving ceiling on this workload
-#: (BENCH_prf.json, 64-request batches): the number the process pool must
-#: scale past.
-PR2_THREAD_CEILING_RPS = 2611.6
 
 
 def _best_batch_ms(service, requests, repeats: int) -> float:
@@ -160,7 +153,6 @@ def bench_serving(quick: bool, repeats: int) -> list:
         return rows
 
     rows = backend_rows("inline", lambda _w: InlineBackend(), (1,))
-    rows += backend_rows("thread", lambda w: ThreadPoolBackend(w), widths)
     rows += backend_rows(
         "process", lambda w: ProcessPoolBackend(w, start_method="fork"), widths
     )
@@ -261,7 +253,6 @@ def bench_reversal_serving(quick: bool, repeats: int) -> list:
         return rows
 
     rows = backend_rows("inline", lambda _w: InlineBackend(), (1,))
-    rows += backend_rows("thread", lambda w: ThreadPoolBackend(w), widths)
     rows += backend_rows(
         "process", lambda w: ProcessPoolBackend(w, start_method="fork"), widths
     )
@@ -425,7 +416,6 @@ def run(quick: bool, repeats: int) -> dict:
         return max(candidates, key=lambda row: row["throughput_rps"])
 
     inline = best_for("inline")
-    thread = best_for("thread")
     process = best_for("process")
     scaled_width = 4 if not quick else 2
     process_scaled = best_for("process", min_workers=scaled_width)
@@ -435,7 +425,6 @@ def run(quick: bool, repeats: int) -> dict:
         r_process = reversal_best("process", mode, min_workers=scaled_width)
         reversal_summary[mode] = {
             "inline_rps": r_inline["throughput_rps"],
-            "best_thread_rps": reversal_best("thread", mode)["throughput_rps"],
             "process_rps_at_scaled_width": r_process["throughput_rps"],
             "process_scaled_width": r_process["workers"],
             "process_vs_inline": round(
@@ -447,21 +436,15 @@ def run(quick: bool, repeats: int) -> dict:
         "quick": quick,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
-        "pr2_thread_ceiling_rps": PR2_THREAD_CEILING_RPS,
         "serving": rows,
         "reversal_serving": reversal_rows,
         "faulted_serving": faulted,
         "summary": {
             "inline_rps": inline["throughput_rps"],
-            "best_thread_rps": thread["throughput_rps"],
-            "best_thread_workers": thread["workers"],
             "best_process_rps": process["throughput_rps"],
             "best_process_workers": process["workers"],
             "process_rps_at_scaled_width": process_scaled["throughput_rps"],
             "process_scaled_width": process_scaled["workers"],
-            "process_vs_pr2_thread_ceiling": round(
-                process_scaled["throughput_rps"] / PR2_THREAD_CEILING_RPS, 3
-            ),
             "reversal": reversal_summary,
             "faulted_vs_clean": faulted["faulted_vs_clean"],
         },

@@ -64,7 +64,7 @@ def launch_server(port: int) -> subprocess.Popen:
             "-m",
             "repro.lbs.frontend",
             "--port", str(port),
-            "--backend", "thread",
+            "--backend", "process",
             "--workers", "2",
             "--grid-side", "12",
             "--batch-window-ms", "2",

@@ -24,7 +24,6 @@ from repro.lbs import (
     CloakRequest,
     LBSProvider,
     PoiDirectory,
-    ThreadPoolBackend,
 )
 from repro.metrics import Timer
 
@@ -46,9 +45,7 @@ def main() -> None:
           f"{preassign_timer.elapsed * 1000:.0f} ms "
           f"({algorithm.preassignment.memory_bytes() / 1024:.0f} KiB of tables)")
 
-    anonymizer = AnonymizerService(
-        network, algorithm, backend=ThreadPoolBackend(4)
-    )
+    anonymizer = AnonymizerService(network, algorithm)
     anonymizer.update_snapshot(snapshot)
     provider = LBSProvider(PoiDirectory(network, count=800, seed=5))
 
@@ -56,7 +53,8 @@ def main() -> None:
         levels=3, base_k=8, k_step=8, base_l=3, l_step=2, max_segments=100
     )
 
-    # Serve the request stream as one batch on the execution backend.
+    # Serve the request stream as one batch on the (inline) execution
+    # backend.
     chains = {
         user_id: KeyChain.generate(profile.level_count)
         for user_id in snapshot.users()[:N_USERS]

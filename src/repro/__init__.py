@@ -71,7 +71,6 @@ from .lbs import (
     CloakRequest,
     InlineBackend,
     ProcessPoolBackend,
-    ThreadPoolBackend,
 )
 from .mobility import (
     GaussianPlacement,
@@ -122,7 +121,6 @@ __all__ = [
     "CloakRequest",
     "BatchOutcome",
     "InlineBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     # keys
     "AccessKey",

@@ -1,14 +1,17 @@
 """``lock-discipline`` — mutations of lock-guarded state must hold the lock.
 
-The PR 2 bug class: ``TrustedAnonymizer`` counted requests with a bare
-``self._requests_served += 1`` while other paths mutated the same counter
-under ``with self._lock`` — concurrent batches silently dropped
-increments. The invariant this rule encodes: **within a class that owns a
-``threading.Lock``/``RLock`` attribute, an attribute that is mutated under
-``with self.<lock>`` anywhere must be mutated under that lock
-everywhere** (``__init__`` excepted — construction happens-before
-sharing). The same discipline applies at module level to globals guarded
-by module-level locks (the profile/PRF/pre-assignment cache pattern).
+The historical bug class: the original anonymization server counted
+requests with a bare ``self._requests_served += 1`` while other paths
+mutated the same counter under ``with self._lock`` — concurrent batches
+silently dropped increments (``tests/lbs/test_batch.py::TestCounterSafety``
+now drives :class:`~repro.lbs.service.AnonymizerService` from several
+threads to keep the fix covered). The invariant this rule encodes:
+**within a class that owns a ``threading.Lock``/``RLock`` attribute, an
+attribute that is mutated under ``with self.<lock>`` anywhere must be
+mutated under that lock everywhere** (``__init__`` excepted — construction
+happens-before sharing). The same discipline applies at module level to
+globals guarded by module-level locks (the profile/PRF/pre-assignment cache
+pattern).
 
 The check is syntactic: a mutation inside a helper that is only ever
 called with the lock held (e.g. ``ProcessPoolBackend._respawn`` under the

@@ -29,8 +29,8 @@ has drawn — so a whole level peel (many
 hypotheses replaying the same steps) pays for each distinct draw once. The
 engine and the reversal search construct one ``LevelDraws`` per level and
 pass it down; algorithms fall back to :func:`keyed_draw` when ``draws`` is
-``None``, which is the equivalence/benchmark baseline (like
-``incremental=False`` for the region state).
+``None``. That draws-less, state-less form of the step API is what the
+test-side reference implementation (``tests/reference.py``) is built on.
 
 Complexity: every step-level primitive here accepts an optional maintained
 :class:`~repro.core.region_state.RegionState`. Without it, the frontier and

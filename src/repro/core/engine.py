@@ -18,6 +18,13 @@ exactly. Three bootstrap modes (decision D1):
 * ``"search"`` — paper-faithful hypothesis search over frontier-removable
   segments with replay certification,
 * ``"auto"`` — hints when present, search otherwise.
+
+There is one production path per operation: the expansion always carries
+one maintained :class:`~repro.core.region_state.RegionState` and one
+:class:`~repro.core.algorithm.LevelDraws` buffer per level, and reversal
+always runs the checkpoint/rollback search. The straight, cache-free
+transcription of the paper these paths must agree with byte for byte lives
+with the tests (``tests/reference.py``), not behind engine flags.
 """
 
 from __future__ import annotations
@@ -160,25 +167,6 @@ class ReverseCloakEngine:
         validate_reversals: Certify every peel by forward replay (default
             on; turning it off makes hint-mode reversal fastest but trades
             away tamper detection).
-        incremental: Maintain one :class:`RegionState` across the whole
-            multi-level expansion (and per-region bookkeeping during
-            reversal) so each step costs O(deg) instead of O(|region|).
-            Off forces the original from-scratch recomputes — byte-identical
-            envelopes and reversals, asymptotically slower; the flag exists
-            for equivalence testing and benchmarking.
-        batched_prf: Draw each level's keyed randomness through one
-            :class:`LevelDraws` buffer (block pre-draws, memoized redraws,
-            batched witness tags) instead of one HMAC call per transition.
-            Byte-identical envelopes and reversals either way; off is the
-            per-call equivalence/benchmark baseline, exactly like
-            ``incremental=False``.
-        undo_log: Reversal-search backtracking discipline: explore
-            hypotheses on one checkpoint/rollback region state (default)
-            instead of deriving one cloned state per visited region (the
-            PR 1-3 path). Outcomes are byte-identical either way; the flag
-            exists for equivalence testing and benchmarking, exactly like
-            ``incremental`` and ``batched_prf``. Ignored when
-            ``incremental`` is off.
 
     Example:
         >>> from repro.roadnet import grid_network
@@ -205,17 +193,11 @@ class ReverseCloakEngine:
         algorithm: Optional[CloakingAlgorithm] = None,
         branch_limit: int = DEFAULT_BRANCH_LIMIT,
         validate_reversals: bool = True,
-        incremental: bool = True,
-        batched_prf: bool = True,
-        undo_log: bool = True,
     ) -> None:
         self._network = network
         self._algorithm = algorithm or ReversibleGlobalExpansion()
         self._branch_limit = branch_limit
         self._validate = validate_reversals
-        self._incremental = incremental
-        self._batched_prf = batched_prf
-        self._undo_log = undo_log
         self._net_digest = network_digest(network)
 
     @classmethod
@@ -225,9 +207,6 @@ class ReverseCloakEngine:
         envelope: CloakEnvelope,
         branch_limit: int = DEFAULT_BRANCH_LIMIT,
         validate_reversals: bool = True,
-        incremental: bool = True,
-        batched_prf: bool = True,
-        undo_log: bool = True,
     ) -> "ReverseCloakEngine":
         """An engine configured to reverse ``envelope`` (requester side)."""
         return cls(
@@ -235,9 +214,6 @@ class ReverseCloakEngine:
             algorithm_for_envelope(network, envelope),
             branch_limit=branch_limit,
             validate_reversals=validate_reversals,
-            incremental=incremental,
-            batched_prf=batched_prf,
-            undo_log=undo_log,
         )
 
     @property
@@ -292,12 +268,8 @@ class ReverseCloakEngine:
         # level: frontier, running length/bbox/population and the sorted
         # member order survive level boundaries, so no level re-derives
         # anything about the region it inherited.
-        state: Optional[RegionState] = (
-            RegionState(self._network, (user_segment,), snapshot=snapshot)
-            if self._incremental
-            else None
-        )
-        region = state.members if state is not None else {user_segment}
+        state = RegionState(self._network, (user_segment,), snapshot=snapshot)
+        region = state.members
         anchor = user_segment
         records: List[LevelRecord] = []
         step_cap = self._network.segment_count + 1
@@ -308,8 +280,8 @@ class ReverseCloakEngine:
             key = chain.key_for(level)
             # One draw buffer per level: the level's R_i values are block
             # pre-drawn ahead of the expansion instead of one HMAC per
-            # transition (identical values either way).
-            draws = LevelDraws(key) if self._batched_prf else None
+            # transition.
+            draws = LevelDraws(key)
             start_anchor = anchor
             steps = 0
             step_anchors: List[int] = []
@@ -327,25 +299,14 @@ class ReverseCloakEngine:
                     self._network, region, anchor, key, steps + 1,
                     requirement.tolerance, state=state, draws=draws,
                 )
-                if state is not None:
-                    state.add(segment)
-                else:
-                    region.add(segment)
+                state.add(segment)
                 anchor = segment
                 steps += 1
             sealed = seal_anchor(key, anchor, "hint") if include_hints else None
             sealed_start = (
                 seal_anchor(key, start_anchor, "start") if include_hints else None
             )
-            if not include_hints:
-                witnesses: Tuple[int, ...] = ()
-            elif self._batched_prf:
-                witnesses = witness_bytes(key, step_anchors)
-            else:
-                witnesses = tuple(
-                    witness_byte(key, step, step_anchor)
-                    for step, step_anchor in enumerate(step_anchors, start=1)
-                )
+            witnesses = witness_bytes(key, step_anchors) if include_hints else ()
             digest = region_digest(region)
             records.append(
                 LevelRecord(
@@ -450,9 +411,7 @@ class ReverseCloakEngine:
             # replay certification below re-reads the same keyed values.
             # A batch caller's cache widens the sharing to sibling
             # envelopes peeled under the same key.
-            if not self._batched_prf:
-                draws = None
-            elif draws_cache is not None:
+            if draws_cache is not None:
                 draws = draws_cache.draws_for(key, lookahead=record.steps)
             else:
                 draws = LevelDraws(key, lookahead=record.steps)
@@ -500,9 +459,7 @@ class ReverseCloakEngine:
                 first_only=not (self._validate or mode == "search"),
                 accept=accept,
                 witness_filter=witness_filter,
-                use_states=self._incremental,
                 draws=draws,
-                undo_log=self._undo_log,
             )
             if accept is not None:
                 if not outcomes:
@@ -599,7 +556,7 @@ class ReverseCloakEngine:
         record: LevelRecord,
         key: AccessKey,
         region: frozenset,
-        draws: Optional[LevelDraws] = None,
+        draws: LevelDraws,
     ) -> Tuple[frozenset, Tuple[int, ...]]:
         """Peel level 1 by forward replay from the sealed user segment.
 
@@ -623,7 +580,6 @@ class ReverseCloakEngine:
             start,
             record.steps,
             record.tolerance,
-            use_state=self._incremental,
             draws=draws,
         )
         if additions is None or frozenset({start}) | set(additions) != region:

@@ -37,8 +37,10 @@ every subsequent mutation appends its inverse bookkeeping (the segment,
 plus the O(1) scalars a pure inverse cannot recover: the cached removable
 set, the frontier tuple, the bbox extremes/dirty flag and the rounded
 total); :meth:`rollback` pops the trail back to the token, restoring the
-state — including the lazily cached answers — bit for bit. The clone path
-remains as the equivalence oracle (see ``tests/core/test_undo_log.py``).
+state — including the lazily cached answers — bit for bit. :meth:`clone`
+stays as the rollback oracle the tests compare against (the randomized
+checkpoint/rollback tests of ``TestRandomizedRollback``); no production
+path clones per hypothesis.
 
 Floating-point note: naive float summation is order-dependent, and a
 tolerance comparison that flips between the anonymizer's and the

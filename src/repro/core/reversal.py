@@ -41,15 +41,16 @@ per-node transition-table builds — and candidate filtering uses O(1)
 tolerance deltas. Hinted straight-line peels stay O(R * deg); replay
 certification maintains one state for its whole forward run.
 
-Two equivalence toggles, both byte-identical in *outcomes*:
-``use_states=False`` forces the seed-era from-scratch recomputes, and
-``undo_log=False`` keeps incremental states but derives one clone per
-visited region (the PR 1-3 discipline) — the oracle the undo-log path is
-golden-tested against. The undo path's cross-budget interval memo makes
-its explored-work counter advance more slowly (replayed subtrees are not
-re-counted), so a search near the branch limit may complete where the
-oracle path would raise; the first deepening pass — where tiny test
-limits trip — counts identically on both paths.
+The one exception to maintained state is size-driven: hinted peels and
+replays of regions below :func:`incremental_threshold` run the
+from-scratch recomputes, which win on constants there. The oracle this
+search is differentially tested against — a straight, cache-free
+transcription of the paper's search peel — lives with the tests
+(``tests/reference.py``). The cross-budget interval memo makes the
+explored-work counter here advance more slowly than a per-pass re-walk
+(replayed subtrees are not re-counted), so a search near the branch limit
+may complete where the re-walk would raise; the first deepening pass —
+where tiny test limits trip — counts identically.
 """
 
 from __future__ import annotations
@@ -193,7 +194,6 @@ def replay_level(
     start_anchor: int,
     steps: int,
     tolerance: ToleranceSpec,
-    use_state: bool = True,
     draws: Optional[LevelDraws] = None,
 ) -> Optional[Tuple[int, ...]]:
     """Re-run ``steps`` forward transitions from a hypothesised inner state.
@@ -201,15 +201,15 @@ def replay_level(
     Returns the addition sequence, or ``None`` when the expansion fails
     (which certifies the hypothesis as inconsistent). One incremental
     :class:`RegionState` is maintained across the whole replay (O(deg) per
-    step after the O(|region| * deg) initialisation) unless ``use_state``
-    is off or the final region is below the incremental crossover size.
+    step after the O(|region| * deg) initialisation) unless the final
+    region is below the incremental crossover size.
     ``draws`` serves the keyed values from the batched PRF plane — pass the
     peel's shared buffer so replays never recompute a draw.
     """
-    if len(start_region) + steps <= incremental_threshold(network):
-        use_state = False
     state: Optional[RegionState] = (
-        RegionState.from_region(network, start_region) if use_state else None
+        RegionState.from_region(network, start_region)
+        if len(start_region) + steps > incremental_threshold(network)
+        else None
     )
     region = state.members if state is not None else set(start_region)
     anchor = start_anchor
@@ -255,9 +255,7 @@ def peel_level(
     first_only: bool = False,
     accept: Optional[Callable[[PeelOutcome], bool]] = None,
     witness_filter: Optional[Callable[[int, int], bool]] = None,
-    use_states: bool = True,
     draws: Optional[LevelDraws] = None,
-    undo_log: bool = True,
 ) -> List[PeelOutcome]:
     """Peel one level, returning every replay-certified outcome.
 
@@ -287,24 +285,10 @@ def peel_level(
             ``(step, anchor) -> bool`` from the envelope's keyed witnesses
             (decision D13); discards false hypotheses with probability
             255/256 per step, keeping hinted peels near-linear.
-        use_states: Maintain incremental region bookkeeping (cached
-            articulation-free sets, per-region :class:`RegionState`) across
-            the search. Off forces the original from-scratch recomputes —
-            identical outcomes, asymptotically slower.
         draws: Optional shared :class:`LevelDraws` buffer of ``key``'s
             level (the batched PRF plane). Hypotheses and replay
             certifications across the whole peel then pay for each distinct
             keyed draw once. ``None`` falls back to per-call draws.
-        undo_log: Explore hypotheses on one checkpoint/rollback state with
-            cross-budget hypothesis/removable/interval memos (the fast
-            default). Off derives one cloned state per visited region
-            instead — the PR 1-3 search discipline, kept as the
-            equivalence oracle. Outcomes are byte-identical either way;
-            the explored-work counter advances more slowly with the memos
-            on (interval hits replay whole subtrees without re-counting
-            them), so near the branch limit the undo path may complete a
-            search the clone path would abort. The first deepening pass
-            counts identically — interval entries cannot hit at budget 0.
 
     Returns:
         Certified outcomes. Empty when no hypothesis is consistent.
@@ -337,7 +321,7 @@ def peel_level(
     #   interpretation, decision D12). True chains use few penalised steps,
     #   so low-budget passes find them before the high-penalty hypothesis
     #   space (which is where false branches breed) is ever entered.
-    # * *Budget-interval reuse* (undo-log path) — a node's completions are
+    # * *Budget-interval reuse* — a node's completions are
     #   a step function of its remaining budget: they can only change at
     #   the penalty of a pruned hypothesis or at a child's own next flip
     #   point. Each computation therefore returns, besides its completions,
@@ -358,30 +342,21 @@ def peel_level(
 
     # Hinted peels walk one straight chain of small regions; below the
     # crossover the from-scratch recomputes win on constants.
-    if (
-        use_states
-        and (witness_filter is not None or accept is not None)
+    maintain_state = not (
+        (witness_filter is not None or accept is not None)
         and len(outer) <= incremental_threshold(network)
-    ):
-        use_states = False
+    )
 
-    # Incremental bookkeeping shared across the whole peel (all budgets).
-    #
-    # Fast path (``undo_log``): one live RegionState walks the search tree
-    # by checkpoint/remove on descent and rollback on return — O(deg) per
-    # edge, nothing proportional to |R|. Two value memos keyed by the
-    # region frozensets make node revisits (sibling hypotheses within a
-    # budget, whole-tree re-walks across deepening budgets) near-free:
-    # ``backward_hypotheses`` tuples and removable sets are pure functions
-    # of (region, removed segment, step). Capped; past the cap values are
-    # recomputed but not stored (never evicted wholesale — the early, hot
-    # entries such as the outer region and the true chain's prefixes stay
-    # cached).
-    #
-    # Oracle path (``undo_log=False``): one RegionState per distinct
-    # region, derived from its parent by clone + removal and cached — the
-    # PR 1-3 discipline, byte-identical outcomes, kept for equivalence
-    # testing and as the benchmark trajectory's midpoint.
+    # Incremental bookkeeping shared across the whole peel (all budgets):
+    # one live RegionState walks the search tree by checkpoint/remove on
+    # descent and rollback on return — O(deg) per edge, nothing
+    # proportional to |R|. Two value memos keyed by the region frozensets
+    # make node revisits (sibling hypotheses within a budget, whole-tree
+    # re-walks across deepening budgets) near-free: ``backward_hypotheses``
+    # tuples and removable sets are pure functions of (region, removed
+    # segment, step). Capped; past the cap values are recomputed but not
+    # stored (never evicted wholesale — the early, hot entries such as the
+    # outer region and the true chain's prefixes stay cached).
     live: Optional[RegionState] = None
     hyp_cache: Dict[Tuple[frozenset, int, int], tuple] = {}
     removable_cache: Dict[frozenset, FrozenSet[int]] = {}
@@ -408,38 +383,11 @@ def peel_level(
                 removable_cache[region] = removable
         return removing in removable
 
-    state_cache: Dict[frozenset, RegionState] = {}
-    _PEEL_CACHE_CAP = 4096
-
-    def _state_of(
-        region: frozenset,
-        parent: Optional[frozenset] = None,
-        removed: Optional[int] = None,
-    ) -> RegionState:
-        region_state = state_cache.get(region)
-        if region_state is None:
-            parent_state = (
-                state_cache.get(parent) if parent is not None else None
-            )
-            if parent_state is not None and removed is not None:
-                # Deriving by clone + single removal is O(|R|) container
-                # copies; a from-scratch build costs a full neighbour scan.
-                region_state = parent_state.clone()
-                region_state.remove(removed)
-            else:
-                region_state = RegionState.from_region(network, region)
-            if len(state_cache) < _PEEL_CACHE_CAP:
-                state_cache[region] = region_state
-        return region_state
-
     regions_connected = False
-    if use_states:
+    if maintain_state:
         # Building the outer state first also validates every segment id
         # (unknown ids raise UnknownSegmentError, not a bare KeyError).
-        if undo_log:
-            live = RegionState.from_region(network, outer)
-        else:
-            state_cache[outer] = RegionState.from_region(network, outer)
+        live = RegionState.from_region(network, outer)
         # Every region the search visits is connected when the outer region
         # is: descent only ever crosses the removability gate. That unlocks
         # the O(deg) clique shortcut in ``_is_removable``; a disconnected
@@ -447,7 +395,7 @@ def peel_level(
         # articulation answer.
         regions_connected = compiled.is_connected(outer)
 
-    # Cross-budget caches of the undo-log path, all keyed by the node
+    # Cross-budget caches of the live-state path, all keyed by the node
     # signature ``(region, removing, step)`` (pure functions of it):
     # the inner-region frozenset, and the budget-interval entries
     # ``(valid_from, bound, completions)`` — the node's completions are
@@ -487,12 +435,10 @@ def peel_level(
                     inner = region - {removing}
                     if live is not None and len(inner_cache) < _HYP_CACHE_CAP:
                         inner_cache[node_sig] = inner
-                if not use_states:
+                if live is None:
                     connected = network.is_connected_region(inner)
-                elif live is not None:
-                    connected = _is_removable(region, removing)
                 else:
-                    connected = _state_of(region).is_removable(removing)
+                    connected = _is_removable(region, removing)
                 if inner and connected:
                     hypotheses: Optional[tuple] = None
                     if live is not None:
@@ -506,15 +452,9 @@ def peel_level(
                         token = live.checkpoint()
                         live.remove(removing)
                     if hypotheses is None:
-                        if live is not None:
-                            state = live
-                        elif use_states:
-                            state = _state_of(inner, region, removing)
-                        else:
-                            state = None
                         hypotheses = algorithm.backward_hypotheses(
                             network, inner, removing, key, step, tolerance,
-                            state=state, draws=draws,
+                            state=live, draws=draws,
                         )
                         if live is not None and len(hyp_cache) < _HYP_CACHE_CAP:
                             hyp_cache[node_sig] = hypotheses
@@ -574,8 +514,7 @@ def peel_level(
                 if accept is not None and not accept(outcome):
                     continue
                 if validate and not _certify(
-                    network, algorithm, key, outcome, tolerance, use_states,
-                    draws=draws,
+                    network, algorithm, key, outcome, tolerance, draws=draws
                 ):
                     continue
                 seen_outcomes.add(signature)
@@ -591,7 +530,6 @@ def _certify(
     key: AccessKey,
     outcome: PeelOutcome,
     tolerance: ToleranceSpec,
-    use_state: bool = True,
     draws: Optional[LevelDraws] = None,
 ) -> bool:
     """Forward-replay certification of a completed peel hypothesis."""
@@ -603,7 +541,6 @@ def _certify(
         outcome.start_anchor,
         len(outcome.removed),
         tolerance,
-        use_state=use_state,
         draws=draws,
     )
     return replayed == outcome.added_sequence

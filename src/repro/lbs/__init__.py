@@ -10,7 +10,6 @@ from .backends import (
     ProcessPoolBackend,
     ReversalEngineCache,
     ReversalOutcome,
-    ThreadPoolBackend,
 )
 from .continuous import CloakTimeline, ContinuousCloaker, TimelineEntry
 from .deferral import DeferredCloaking, DeferredResult, TemporalTolerance
@@ -27,7 +26,6 @@ from .faults import (
 from .framing import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from .provider import LBSProvider
 from .query import CandidateResult, PoiDirectory, PointOfInterest, range_query
-from .server import TrustedAnonymizer
 from .service import AnonymizerService
 from .wire import (
     BatchOutcomeDoc,
@@ -40,7 +38,6 @@ from .wire import (
 
 __all__ = [
     "AnonymizerService",
-    "TrustedAnonymizer",
     "CloakRequest",
     "BatchOutcome",
     "ReversalOutcome",
@@ -53,7 +50,6 @@ __all__ = [
     "ExecutionBackend",
     "BackendSpec",
     "InlineBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "LBSProvider",
     "PoiDirectory",

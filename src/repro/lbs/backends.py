@@ -5,12 +5,7 @@ protocol — request in, outcome out — and delegates *where the cloaking
 work runs* to an :class:`ExecutionBackend`:
 
 * :class:`InlineBackend` — the calling thread, one engine. The reference
-  implementation every other backend must match byte for byte.
-* :class:`ThreadPoolBackend` — a persistent thread pool with one engine
-  per worker thread (PR 2's ``cloak_batch`` machinery, re-homed). Threads
-  share the interpreter, so on GIL-bound builds this measures serving
-  overhead rather than adding parallelism; it remains the right backend
-  for workloads that block (I/O-heavy algorithms, free-threaded builds).
+  implementation the process pool must match byte for byte.
 * :class:`ProcessPoolBackend` — N worker *processes*, each holding its own
   engine rebuilt from wire documents against a per-batch snapshot. Work
   and results cross the boundary as wire documents only, so serving is
@@ -61,7 +56,6 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -103,7 +97,6 @@ __all__ = [
     "ReversalEngineCache",
     "ExecutionBackend",
     "InlineBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
 ]
 
@@ -591,132 +584,6 @@ class InlineBackend(ExecutionBackend):
                 _peel_outcome(engines, request, draws_cache, deadline=deadline)
             )
         return outcomes
-
-
-class ThreadPoolBackend(ExecutionBackend):
-    """Serve batches across a persistent thread pool.
-
-    Each worker thread lazily builds one engine and reuses it for every
-    request it ever serves (engines hold only immutable shared structures:
-    the network, the algorithm and its pre-assignment tables). All requests
-    of a batch run against the one snapshot the batch was submitted with.
-
-    GIL caveat: cloaking is pure Python, so on GIL-bound builds the pool
-    adds scheduling overhead without adding parallelism — every measured
-    width was slower than inline serving on a 1-CPU container
-    (``BENCH_serving.json``). A width of 1 therefore short-circuits to
-    inline execution on the calling thread (same engine-per-thread reuse,
-    no pool hop); widths > 1 remain the right backend only for workloads
-    that actually block (I/O-heavy algorithms, free-threaded builds) —
-    otherwise prefer :class:`InlineBackend` or
-    :class:`ProcessPoolBackend`.
-
-    Args:
-        max_workers: Pool width; ``None`` picks ``min(8, cpu_count)``.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise CloakingError(f"max_workers must be >= 1, got {max_workers}")
-        self._max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._engines = threading.local()
-
-    @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
-    def _worker_engine(self) -> ReverseCloakEngine:
-        engine = getattr(self._engines, "engine", None)
-        if engine is None:
-            engine = self.spec.build_engine()
-            self._engines.engine = engine
-        return engine
-
-    def _worker_reversal_engines(self) -> ReversalEngineCache:
-        """This worker thread's bounded reversal-engine cache.
-
-        Per-worker (not shared) so reversal serving stays lock-free on the
-        hot path, mirroring the per-worker cloaking engines; the caches
-        answer from each envelope's algorithm metadata, never from a
-        snapshot — reversal is snapshot-free.
-        """
-        engines = getattr(self._engines, "reversal", None)
-        if engines is None:
-            engines = ReversalEngineCache(
-                self.spec.network, default=self._worker_engine()
-            )
-            self._engines.reversal = engines
-        return engines
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="reversecloak-serve",
-                )
-            return self._pool
-
-    def cloak_batch(
-        self, snapshot: PopulationSnapshot, requests: Sequence[CloakRequest]
-    ) -> List[BatchOutcome]:
-        if not requests:
-            return []
-        include_hints = self.spec.include_hints
-        if self._max_workers == 1:
-            # A one-thread pool is pure overhead (submission hop + GIL
-            # handoff per request, see the class docstring): serve on the
-            # calling thread with the same per-thread engine reuse.
-            engine = self._worker_engine()
-            return [
-                _serve_outcome(engine, snapshot, request, include_hints)
-                for request in requests
-            ]
-        pool = self._ensure_pool()
-        return list(
-            pool.map(
-                lambda request: _serve_outcome(
-                    self._worker_engine(), snapshot, request, include_hints
-                ),
-                requests,
-            )
-        )
-
-    def deanonymize_batch(
-        self, requests: Sequence[DeanonymizeRequestDoc]
-    ) -> List[ReversalOutcome]:
-        if not requests:
-            return []
-        self.spec  # raise the unbound error before any work
-        if self._max_workers == 1:
-            # Same short-circuit as cloak_batch — and serving on the
-            # calling thread lets the whole batch share one draws cache.
-            engines = self._worker_reversal_engines()
-            draws_cache = DrawsCache()
-            return [
-                _peel_outcome(engines, request, draws_cache)
-                for request in requests
-            ]
-        pool = self._ensure_pool()
-        # No cross-item draws cache here: LevelDraws buffers are per-thread
-        # scratch and items of one batch land on different workers. Each
-        # peel still shares draws internally across its own hypotheses.
-        return list(
-            pool.map(
-                lambda request: _peel_outcome(
-                    self._worker_reversal_engines(), request, None
-                ),
-                requests,
-            )
-        )
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
 
 
 # ----------------------------------------------------------------------

@@ -1354,13 +1354,22 @@ class ResilientClient:
 # console entry point
 # ----------------------------------------------------------------------
 def _build_backend(args):
-    from .backends import InlineBackend, ProcessPoolBackend, ThreadPoolBackend
+    from .backends import InlineBackend, ProcessPoolBackend
 
     if args.backend == "inline":
         return InlineBackend()
-    if args.backend == "thread":
-        return ThreadPoolBackend(args.workers)
     return ProcessPoolBackend(args.workers, start_method=args.start_method)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count options: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -1382,12 +1391,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("inline", "thread", "process"),
+        choices=("inline", "process"),
         default="inline",
         help="execution backend the coalesced batches run on",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, help="thread/process pool width"
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help="process pool width (process backend only)",
     )
     parser.add_argument(
         "--start-method",
@@ -1396,9 +1408,11 @@ def _parser() -> argparse.ArgumentParser:
         help="multiprocessing start method of the process backend",
     )
     parser.add_argument("--batch-window-ms", type=float, default=2.0)
-    parser.add_argument("--batch-max", type=int, default=64)
-    parser.add_argument("--max-pending", type=int, default=1024)
-    parser.add_argument("--max-connection-pending", type=int, default=256)
+    parser.add_argument("--batch-max", type=_positive_int, default=64)
+    parser.add_argument("--max-pending", type=_positive_int, default=1024)
+    parser.add_argument(
+        "--max-connection-pending", type=_positive_int, default=256
+    )
     parser.add_argument(
         "--idle-timeout-s",
         type=float,
@@ -1419,15 +1433,21 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=None,
         help="service-level admission budget (default: unbounded)",
     )
     parser.add_argument(
-        "--grid-side", type=int, default=24, help="side of the demo grid map"
+        "--grid-side",
+        type=_positive_int,
+        default=24,
+        help="side of the demo grid map",
     )
     parser.add_argument(
-        "--users-per-segment", type=int, default=2, help="demo population density"
+        "--users-per-segment",
+        type=_positive_int,
+        default=2,
+        help="demo population density",
     )
     return parser
 
@@ -1479,7 +1499,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..mobility.snapshot import PopulationSnapshot
     from ..roadnet.generators import grid_network
 
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.workers is not None and args.backend == "inline":
+        parser.error("--workers applies only to --backend process")
     network = grid_network(args.grid_side, args.grid_side)
     snapshot = PopulationSnapshot.from_counts(
         {

@@ -13,17 +13,14 @@ requesters.
   and returns an outcome document, so an HTTP/gRPC/queue front-end needs
   zero knowledge of domain objects;
 * **the execution backend** (:mod:`repro.lbs.backends`) — where batch
-  cloaking work runs (inline, thread pool, sharded process pool) is a
-  constructor choice, not a code path.
+  cloaking work runs (inline, sharded process pool) is a constructor
+  choice, not a code path.
 
 The service retains *no* per-request state — the defining advantage over
 the mapping-store baseline — apart from lock-guarded bookkeeping counters
 used by experiments. It is thread-safe: batches are pinned to the snapshot
 installed when they start, and a concurrent :meth:`update_snapshot` never
 tears a batch.
-
-:class:`~repro.lbs.server.TrustedAnonymizer` remains as a deprecated thin
-shim over this class.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import dataclasses
 import json
 import threading
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.algorithm import CloakingAlgorithm
 from ..core.engine import DeanonymizationResult, ReverseCloakEngine
@@ -56,7 +53,6 @@ from .backends import (
     InlineBackend,
     ReversalEngineCache,
     ReversalOutcome,
-    ThreadPoolBackend,
     serve_request,
 )
 from .faults import Deadline
@@ -139,8 +135,9 @@ class AnonymizerService:
         self._backend = backend if backend is not None else InlineBackend()
         self._backend.bind(self._spec)
         self._snapshot: Optional[PopulationSnapshot] = None
-        # Counter lock: cloak()/cloak_batch() run concurrently and bare
-        # ``+= 1`` would drop increments under that interleaving.
+        # Counter lock: the service is called from several threads at once
+        # (cloak()/cloak_batch() run concurrently) and bare ``+= 1`` would
+        # drop increments under that interleaving.
         self._counter_lock = threading.Lock()
         self._requests_served = 0
         self._failures = 0
@@ -153,10 +150,6 @@ class AnonymizerService:
         self._max_inflight = max_inflight
         self._inflight = 0
         self._requests_shed = 0
-        # Legacy per-call ``max_workers`` widths get a cached thread
-        # backend each (the shim's cloak_batch signature), lazily built.
-        self._width_lock = threading.Lock()
-        self._width_backends: Dict[int, ExecutionBackend] = {}
         # Reversal engines per algorithm spec seen in envelopes — a
         # *bounded* LRU: the spec fields are attacker-controlled input on
         # the ``handle`` wire endpoint, so churning parameters must evict,
@@ -296,10 +289,6 @@ class AnonymizerService:
     def close(self) -> None:
         """Release the backend's worker resources (idempotent)."""
         self._backend.close()
-        with self._width_lock:
-            for backend in self._width_backends.values():
-                backend.close()
-            self._width_backends.clear()
 
     def __enter__(self) -> "AnonymizerService":
         return self
@@ -357,11 +346,7 @@ class AnonymizerService:
         self._count(served=1)
         return envelope
 
-    def cloak_batch(
-        self,
-        requests: Sequence[CloakRequest],
-        max_workers: Optional[int] = None,
-    ) -> List[BatchOutcome]:
+    def cloak_batch(self, requests: Sequence[CloakRequest]) -> List[BatchOutcome]:
         """Serve a batch of requests on the execution backend.
 
         Every request is cloaked against the snapshot installed when the
@@ -372,25 +357,14 @@ class AnonymizerService:
         :class:`BatchOutcome` carrying that error instead of aborting the
         batch — any other exception propagates.
 
-        Args:
-            requests: The batch, served in order.
-            max_workers: ``None`` (the default) serves on the configured
-                backend. An explicit width overrides the backend for this
-                call with the legacy thread-pool semantics: ``1`` serves
-                inline on the calling thread, ``N > 1`` uses a cached
-                ``N``-wide thread pool.
-
         Raises:
             MobilityError: No snapshot is installed.
         """
         snapshot = self._require_snapshot()
         if not requests:
             return []
-        backend = (
-            self._backend if max_workers is None else self._width_backend(max_workers)
-        )
         with self._admit(len(requests)):
-            outcomes = backend.cloak_batch(snapshot, requests)
+            outcomes = self._backend.cloak_batch(snapshot, requests)
         served = sum(1 for outcome in outcomes if outcome.ok)
         cloak_failures = sum(
             1 for outcome in outcomes if isinstance(outcome.error, CloakingError)
@@ -685,22 +659,6 @@ class AnonymizerService:
         if snapshot is None:
             raise MobilityError("anonymizer has no population snapshot")
         return snapshot
-
-    def _width_backend(self, max_workers: int) -> ExecutionBackend:
-        """The cached legacy backend of an explicit ``max_workers`` width."""
-        if max_workers <= 1:
-            width = 1
-        else:
-            width = min(max_workers, 64)
-        with self._width_lock:
-            backend = self._width_backends.get(width)
-            if backend is None:
-                backend = (
-                    InlineBackend() if width == 1 else ThreadPoolBackend(width)
-                )
-                backend.bind(self._spec)
-                self._width_backends[width] = backend
-            return backend
 
     def _count(
         self,

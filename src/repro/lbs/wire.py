@@ -4,8 +4,8 @@ The paper's deployment (Section II-B) is a client / anonymizer / LBS
 pipeline: cloaking and de-anonymization requests cross process and machine
 boundaries. This module defines the versioned, JSON-round-trippable
 documents those boundaries exchange, so any transport — an in-process call,
-a thread pool, a sharded process pool, an HTTP front-end — can carry the
-same requests and produce byte-identical results:
+a sharded process pool, a TCP front-end — can carry the same requests and
+produce byte-identical results:
 
 * :class:`CloakRequestDoc` — one client's anonymization request (user id,
   profile, per-level keys, optionally the pre-resolved segment),

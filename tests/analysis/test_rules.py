@@ -105,8 +105,8 @@ def test_determinism_rule_scoped_to_oracle_packages(tmp_path):
 
 
 def test_lock_discipline_catches_historical_counter_shape(tmp_path):
-    # The PR 2 TrustedAnonymizer bug, distilled: one guarded increment,
-    # one bare one.
+    # The historical anonymization-server counter bug, distilled: one guarded
+    # increment, one bare one.
     (tmp_path / "svc.py").write_text(
         "import threading\n"
         "\n"

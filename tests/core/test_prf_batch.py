@@ -1,9 +1,8 @@
-"""Equivalence tests for the batched PRF plane (``LevelDraws`` /
-``batched_prf``).
+"""Equivalence tests for the batched PRF plane (``LevelDraws``).
 
-The batched plane must be invisible in every output: the same keyed values,
-the same envelopes byte for byte, the same reversals — exactly the contract
-``incremental=False`` already pins for the region state.
+The batched plane must be invisible in every output: the same keyed values
+as per-call :func:`keyed_draw`, and the same envelopes and reversals as the
+test-side reference (``tests/reference.py``), which draws once per call.
 """
 
 import hashlib
@@ -12,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from repro import (
     KeyChain,
     PopulationSnapshot,
     PrivacyProfile,
     ReverseCloakEngine,
+    ReversibleGlobalExpansion,
     ReversiblePreassignmentExpansion,
     grid_network,
 )
@@ -112,26 +113,27 @@ GOLDEN_ENVELOPE_SHA256 = {
 }
 
 
+def _algorithm(network, algo_name):
+    if algo_name == "rge":
+        return ReversibleGlobalExpansion()
+    return ReversiblePreassignmentExpansion.for_network(network)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("algo_name", ["rge", "rple"])
     @pytest.mark.parametrize("include_hints", [True, False])
     def test_envelopes_byte_identical(
         self, batch_grid, batch_snapshot, batch_profile, algo_name, include_hints
     ):
-        algorithm = (
-            None
-            if algo_name == "rge"
-            else ReversiblePreassignmentExpansion.for_network(batch_grid)
-        )
+        algorithm = _algorithm(batch_grid, algo_name)
         chain = KeyChain.from_passphrases(["golden-1", "golden-2"])
-        batched = ReverseCloakEngine(batch_grid, algorithm)
-        per_call = ReverseCloakEngine(batch_grid, algorithm, batched_prf=False)
-        a = batched.anonymize(
+        a = ReverseCloakEngine(batch_grid, algorithm).anonymize(
             60, batch_snapshot, batch_profile, chain, include_hints=include_hints
         )
-        b = per_call.anonymize(
-            60, batch_snapshot, batch_profile, chain, include_hints=include_hints
-        )
+        b = reference.anonymize(
+            batch_grid, algorithm, 60, batch_snapshot, batch_profile, chain,
+            include_hints=include_hints,
+        ).envelope
         assert a == b
         assert a.to_json() == b.to_json()
 
@@ -156,40 +158,23 @@ class TestEngineEquivalence:
     def test_reversals_identical(
         self, batch_grid, batch_snapshot, algo_name, mode
     ):
-        algorithm = (
-            None
-            if algo_name == "rge"
-            else ReversiblePreassignmentExpansion.for_network(batch_grid)
-        )
+        algorithm = _algorithm(batch_grid, algo_name)
         chain = KeyChain.from_passphrases(["peel-1"])
         profile = PrivacyProfile.uniform(
             levels=1, base_k=8, k_step=1, base_l=3, l_step=1, max_segments=40
         )
-        batched = ReverseCloakEngine(batch_grid, algorithm)
-        per_call = ReverseCloakEngine(batch_grid, algorithm, batched_prf=False)
-        envelope = batched.anonymize(
+        engine = ReverseCloakEngine(batch_grid, algorithm)
+        trace = reference.anonymize(
+            batch_grid, algorithm, 60, batch_snapshot, profile, chain,
+            include_hints=(mode == "hint"),
+        )
+        envelope = engine.anonymize(
             60, batch_snapshot, profile, chain, include_hints=(mode == "hint")
         )
-        assert envelope == per_call.anonymize(
-            60, batch_snapshot, profile, chain, include_hints=(mode == "hint")
-        )
-        a = batched.deanonymize(envelope, chain, 0, mode=mode)
-        b = per_call.deanonymize(envelope, chain, 0, mode=mode)
-        assert a.regions == b.regions
-        assert a.removed == b.removed
-
-    def test_flags_compose(self, batch_grid, batch_snapshot, batch_profile):
-        # All four (incremental, batched_prf) combinations agree.
-        chain = KeyChain.from_passphrases(["combo-1", "combo-2"])
-        envelopes = {
-            (incremental, batched): ReverseCloakEngine(
-                batch_grid, incremental=incremental, batched_prf=batched
-            ).anonymize(60, batch_snapshot, batch_profile, chain)
-            for incremental in (True, False)
-            for batched in (True, False)
-        }
-        reference = envelopes[(True, True)]
-        assert all(env == reference for env in envelopes.values())
+        assert envelope == trace.envelope
+        result = engine.deanonymize(envelope, chain, 0, mode=mode)
+        assert result.regions == trace.regions
+        assert result.removed == {1: tuple(reversed(trace.additions[1]))}
 
 
 class TestLookaheadBounds:

@@ -7,16 +7,18 @@ Two layers of assurance:
   quantity (frontier, total length, bounding box, population count,
   length ordering, connectivity/removability) against the from-scratch
   answer after every single mutation;
-* protocol equivalence: the engine with ``incremental=True`` must produce
-  byte-identical envelopes (regions, digests, MACs) to ``incremental=False``
-  for both algorithms, and envelopes from either engine must de-anonymize
-  correctly under the other in every reversal mode.
+* protocol equivalence: the engine, which carries one maintained state
+  through the whole expansion, must produce byte-identical envelopes
+  (regions, digests, MACs) to the state-less reference of
+  ``tests/reference.py`` for both algorithms, and must de-anonymize the
+  reference's envelopes back to its regions in every reversal mode.
 """
 
 import random
 
 import pytest
 
+import reference
 from repro import (
     KeyChain,
     LevelRequirement,
@@ -24,6 +26,7 @@ from repro import (
     PrivacyProfile,
     RegionState,
     ReverseCloakEngine,
+    ReversibleGlobalExpansion,
     ReversiblePreassignmentExpansion,
     ToleranceSpec,
     grid_network,
@@ -210,7 +213,7 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("label,network", NETWORKS, ids=[n for n, _ in NETWORKS])
     @pytest.mark.parametrize("algo_name", ["rge", "rple"])
-    def test_envelopes_byte_identical_and_cross_reversible(self, label, network, algo_name):
+    def test_envelopes_byte_identical_and_reversible(self, label, network, algo_name):
         snapshot = PopulationSnapshot.from_counts(
             {sid: (sid % 3) for sid in network.segment_ids()}
         )
@@ -228,25 +231,26 @@ class TestEngineEquivalence:
         )
         chain = KeyChain.from_passphrases(["eq-1", "eq-2"])
         algorithm = (
-            None
+            ReversibleGlobalExpansion()
             if algo_name == "rge"
             else ReversiblePreassignmentExpansion.for_network(network)
         )
-        fast = ReverseCloakEngine(network, algorithm)
-        slow = ReverseCloakEngine(network, algorithm, incremental=False)
+        engine = ReverseCloakEngine(network, algorithm)
         user = snapshot.occupied_segments()[0]
 
-        fast_envelope = fast.anonymize(user, snapshot, profile, chain)
-        slow_envelope = slow.anonymize(user, snapshot, profile, chain)
+        envelope = engine.anonymize(user, snapshot, profile, chain)
+        trace = reference.anonymize(network, algorithm, user, snapshot, profile, chain)
         # Byte-identical: same regions, same digests, same MACs, same JSON.
-        assert fast_envelope == slow_envelope
-        assert fast_envelope.to_json() == slow_envelope.to_json()
+        assert envelope == trace.envelope
+        assert envelope.to_json() == trace.envelope.to_json()
 
-        # Envelopes from either engine reverse correctly under the other.
+        # The reference's envelope reverses to its own regions in every mode.
+        removed = {
+            level: tuple(reversed(added))
+            for level, added in trace.additions.items()
+        }
         for mode in ("hint", "search", "auto"):
-            from_fast = slow.deanonymize(fast_envelope, chain, 0, mode=mode)
-            from_slow = fast.deanonymize(slow_envelope, chain, 0, mode=mode)
-            assert from_fast.region_at(0) == (user,)
-            assert from_slow.region_at(0) == (user,)
-            assert from_fast.regions == from_slow.regions
-            assert from_fast.removed == from_slow.removed
+            result = engine.deanonymize(trace.envelope, chain, 0, mode=mode)
+            assert result.region_at(0) == (user,)
+            assert result.regions == trace.regions
+            assert result.removed == removed

@@ -1,15 +1,15 @@
 """Undo-log RegionState and the checkpoint/rollback peel search.
 
-Three layers of assurance, matching the PR's equivalence contract:
+Three layers of assurance:
 
 * randomized add/remove/checkpoint/rollback sequences where every rollback
   is compared field-for-field against a clone taken at checkpoint time —
   the clone path is the oracle the undo log must reproduce exactly
   (members, frontier counts, *exact* total length, bbox, removability,
   length ordering, population);
-* golden-vector pinning: engine de-anonymization (hint and search modes,
-  RGE and RPLE) must be byte-identical with the undo-log path on and off,
-  and `peel_level` itself must return identical outcome lists;
+* reference pinning: engine de-anonymization (hint and search modes, RGE
+  and RPLE) must recover the cache-free reference's regions, and
+  `peel_level` itself must return the reference peel's outcome set;
 * the derived small-hinted-peel crossover (`incremental_threshold`) must
   come from the compiled plane and behave identically on either side of
   the boundary.
@@ -19,12 +19,14 @@ import random
 
 import pytest
 
+import reference
 from repro import (
     KeyChain,
     PopulationSnapshot,
     PrivacyProfile,
     RegionState,
     ReverseCloakEngine,
+    ReversibleGlobalExpansion,
     ReversiblePreassignmentExpansion,
     ToleranceSpec,
     grid_network,
@@ -140,15 +142,8 @@ class TestRandomizedRollback:
         assert state.members == {0, 1, 2}
 
 
-def _engines(network, algorithm, **kwargs):
-    return (
-        ReverseCloakEngine(network, algorithm, undo_log=True, **kwargs),
-        ReverseCloakEngine(network, algorithm, undo_log=False, **kwargs),
-    )
-
-
 class TestGoldenEquivalence:
-    """Peel outcomes and envelopes byte-identical with the undo log on/off."""
+    """The undo-log search agrees with the cache-free reference peel."""
 
     @pytest.fixture(scope="class")
     def network(self):
@@ -161,32 +156,31 @@ class TestGoldenEquivalence:
         )
 
     @pytest.mark.parametrize("algo_name", ["rge", "rple"])
-    def test_deanonymize_modes_identical(self, network, snapshot, algo_name):
+    def test_deanonymize_modes_match_reference(self, network, snapshot, algo_name):
         algorithm = (
-            None
+            ReversibleGlobalExpansion()
             if algo_name == "rge"
             else ReversiblePreassignmentExpansion.for_network(network)
         )
-        undo, clone = _engines(network, algorithm)
+        engine = ReverseCloakEngine(network, algorithm)
         chain = KeyChain.from_passphrases(["undo-golden-1", "undo-golden-2"])
         profile = PrivacyProfile.uniform(
             levels=2, base_k=18, k_step=12, base_l=3, l_step=1, max_segments=80
         )
         user = network.segment_ids()[25]
-        envelope = undo.anonymize(user, snapshot, profile, chain)
-        # The undo log is a reversal-search feature; anonymization is
-        # untouched, so both engines publish identical bytes.
-        assert envelope == clone.anonymize(user, snapshot, profile, chain)
+        trace = reference.anonymize(network, algorithm, user, snapshot, profile, chain)
+        envelope = engine.anonymize(user, snapshot, profile, chain)
+        assert envelope == trace.envelope
         for mode in ("hint", "auto"):
-            assert undo.deanonymize(envelope, chain, 0, mode=mode) == (
-                clone.deanonymize(envelope, chain, 0, mode=mode)
+            assert engine.deanonymize(envelope, chain, 0, mode=mode).regions == (
+                trace.regions
             )
-        blind = undo.anonymize(user, snapshot, profile, chain, include_hints=False)
-        result_undo = undo.deanonymize(blind, chain, 1, mode="search")
-        result_clone = clone.deanonymize(blind, chain, 1, mode="search")
-        assert result_undo == result_clone
+        blind = engine.anonymize(user, snapshot, profile, chain, include_hints=False)
+        result = engine.deanonymize(blind, chain, 1, mode="search")
+        assert result.regions == {2: trace.regions[2], 1: trace.regions[1]}
+        assert result.removed[2] == tuple(reversed(trace.additions[2]))
 
-    def test_peel_level_outcome_lists_identical(self, network):
+    def test_peel_level_outcomes_match_reference(self, network):
         key = AccessKey.from_passphrase(1, "undo-peel")
         algorithm = ReversiblePreassignmentExpansion.for_network(network)
         tolerance = ToleranceSpec(max_segments=60)
@@ -199,16 +193,13 @@ class TestGoldenEquivalence:
             region.add(segment)
             anchor = segment
         bootstraps = enumerate_bootstraps(network, region)
-        outcomes_undo = peel_level(
-            network, algorithm, key, region, 12, tolerance, bootstraps,
-            undo_log=True,
+        outcomes = peel_level(
+            network, algorithm, key, region, 12, tolerance, bootstraps
         )
-        outcomes_clone = peel_level(
-            network, algorithm, key, region, 12, tolerance, bootstraps,
-            undo_log=False,
+        assert reference.outcome_set(outcomes) == reference.search_peel(
+            network, algorithm, key, region, 12, tolerance
         )
-        assert outcomes_undo == outcomes_clone
-        assert any(o.inner_region == frozenset({44}) for o in outcomes_undo)
+        assert any(o.inner_region == frozenset({44}) for o in outcomes)
 
 
 class TestDerivedThreshold:
@@ -230,8 +221,9 @@ class TestDerivedThreshold:
 
     def test_hinted_peel_identical_across_boundary(self):
         """Regression at the crossover: hinted de-anonymization must agree
-        between the incremental and from-scratch paths for region sizes
-        straddling the derived threshold exactly."""
+        with the reference for region sizes straddling the derived
+        threshold exactly (the from-scratch path below it, the maintained
+        state above)."""
         network = grid_network(12, 12)
         threshold = incremental_threshold(network)
         snapshot = PopulationSnapshot.from_counts(
@@ -244,10 +236,12 @@ class TestDerivedThreshold:
                 levels=1, base_k=target, k_step=1, base_l=3, l_step=1,
                 max_segments=2 * target + 4,
             )
-            fast = ReverseCloakEngine(network)
-            slow = ReverseCloakEngine(network, incremental=False)
-            envelope = fast.anonymize(user, snapshot, profile, chain)
-            assert envelope == slow.anonymize(user, snapshot, profile, chain)
-            assert fast.deanonymize(envelope, chain, 0, mode="hint") == (
-                slow.deanonymize(envelope, chain, 0, mode="hint")
+            engine = ReverseCloakEngine(network)
+            trace = reference.anonymize(
+                network, engine.algorithm, user, snapshot, profile, chain
             )
+            envelope = engine.anonymize(user, snapshot, profile, chain)
+            assert envelope == trace.envelope
+            result = engine.deanonymize(envelope, chain, 0, mode="hint")
+            assert result.regions == trace.regions
+            assert result.removed[1] == tuple(reversed(trace.additions[1]))

@@ -39,7 +39,6 @@ from repro.lbs import (
     CloakRequest,
     InlineBackend,
     ProcessPoolBackend,
-    ThreadPoolBackend,
 )
 from repro.lbs.wire import DeanonymizeRequestDoc, OutcomeDoc
 
@@ -73,7 +72,6 @@ def _requests(snapshot, profile, count, tag="u"):
 def _backends():
     backends = [
         pytest.param(lambda: InlineBackend(), id="inline"),
-        pytest.param(lambda: ThreadPoolBackend(4), id="thread-4"),
     ]
     for method in START_METHODS:
         backends.append(
@@ -306,39 +304,12 @@ class TestReversalBackendEquivalence:
             service = AnonymizerService(grid10, backend=backend)
             assert service.deanonymize_batch([]) == []
 
-    def test_thread_width_one_short_circuits_with_shared_draws(
-        self, grid10, traffic_snapshot, batch_profile
-    ):
-        requests = _reversal_fixture(
-            grid10, traffic_snapshot, batch_profile, 3, tag="w1"
-        )
-        reference = AnonymizerService(grid10)
-        expected = [
-            OutcomeDoc.from_result(
-                reference.deanonymize(r.envelope, r.key_map(), 0)
-            ).to_json()
-            for r in requests
-        ]
-        with ThreadPoolBackend(1) as backend:
-            service = AnonymizerService(grid10, backend=backend)
-            assert _canonical(service.deanonymize_batch(requests)) == expected
-            assert backend._pool is None  # never spun a pool up
-
 
 class TestReversalUnexpectedExceptionsPropagate:
     """Only the typed reversal union may become outcomes — engine bugs
     must abort the batch on every backend."""
 
-    @pytest.mark.parametrize(
-        "make_backend",
-        [
-            pytest.param(lambda: InlineBackend(), id="inline"),
-            pytest.param(lambda: ThreadPoolBackend(2), id="thread-2"),
-        ],
-    )
-    def test_inline_and_thread(
-        self, grid10, traffic_snapshot, batch_profile, make_backend, monkeypatch
-    ):
+    def test_inline(self, grid10, traffic_snapshot, batch_profile, monkeypatch):
         from repro.core.engine import ReverseCloakEngine
 
         requests = _reversal_fixture(
@@ -348,7 +319,7 @@ class TestReversalUnexpectedExceptionsPropagate:
         def boom(self, *args, **kwargs):
             raise RuntimeError("reversal engine bug")
 
-        with make_backend() as backend:
+        with InlineBackend() as backend:
             service = AnonymizerService(grid10, backend=backend)
             monkeypatch.setattr(ReverseCloakEngine, "deanonymize", boom)
             with pytest.raises(RuntimeError, match="reversal engine bug"):
@@ -387,22 +358,13 @@ class TestUnexpectedExceptionsPropagate:
     a bug in the engine (or any unexpected exception) must abort the batch,
     not be swallowed into a BatchOutcome."""
 
-    @pytest.mark.parametrize(
-        "make_backend",
-        [
-            pytest.param(lambda: InlineBackend(), id="inline"),
-            pytest.param(lambda: ThreadPoolBackend(2), id="thread-2"),
-        ],
-    )
-    def test_inline_and_thread(
-        self, grid10, traffic_snapshot, batch_profile, make_backend, monkeypatch
-    ):
+    def test_inline(self, grid10, traffic_snapshot, batch_profile, monkeypatch):
         from repro.core.engine import ReverseCloakEngine
 
         def boom(self, *args, **kwargs):
             raise RuntimeError("engine bug")
 
-        with make_backend() as backend:
+        with InlineBackend() as backend:
             service = AnonymizerService(grid10, backend=backend)
             service.update_snapshot(traffic_snapshot)
             requests = _requests(traffic_snapshot, batch_profile, 3)
@@ -529,16 +491,23 @@ class TestBackendLifecycle:
         with pytest.raises(CloakingError):
             AnonymizerService(grid6, backend=backend)
 
-    def test_unbound_backend_rejects_serving(self, dense_snapshot, batch_profile):
-        backend = ThreadPoolBackend(2)
-        with pytest.raises(CloakingError):
-            backend.cloak_batch(
-                dense_snapshot, _requests(dense_snapshot, batch_profile, 1)
-            )
+    @pytest.mark.parametrize(
+        "make_backend",
+        [
+            pytest.param(lambda: InlineBackend(), id="inline"),
+            pytest.param(lambda: ProcessPoolBackend(2), id="process-2"),
+        ],
+    )
+    def test_unbound_backend_rejects_serving(
+        self, dense_snapshot, batch_profile, make_backend
+    ):
+        with make_backend() as backend:
+            with pytest.raises(CloakingError):
+                backend.cloak_batch(
+                    dense_snapshot, _requests(dense_snapshot, batch_profile, 1)
+                )
 
     def test_invalid_widths_rejected(self):
-        with pytest.raises(CloakingError):
-            ThreadPoolBackend(0)
         with pytest.raises(CloakingError):
             ProcessPoolBackend(0)
 

@@ -26,7 +26,6 @@ from repro.lbs import (
     FaultPlan,
     InlineBackend,
     ProcessPoolBackend,
-    ThreadPoolBackend,
 )
 from repro.lbs.wire import DeanonymizeRequestDoc, OutcomeDoc
 
@@ -320,7 +319,6 @@ class TestDroppedReplies:
 def _deadline_backends(methods):
     backends = [
         pytest.param(lambda: InlineBackend(), id="inline"),
-        pytest.param(lambda: ThreadPoolBackend(2), id="thread-2"),
     ]
     for method in methods:
         backends.append(

@@ -1313,3 +1313,47 @@ class TestConsoleEntry:
         assert proc.returncode == 0, err
         assert "draining" in out
         assert "Traceback" not in err
+
+
+class TestConsoleArguments:
+    """Bad numeric options are usage errors (exit 2 with a usage line),
+    raised before any map is built or backend started."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--workers", "-3"],
+            ["--backend", "process", "--workers", "0"],
+            ["--batch-max", "0"],
+            ["--max-pending", "0"],
+            ["--max-connection-pending", "-1"],
+            ["--max-inflight", "0"],
+            ["--grid-side", "0"],
+            ["--users-per-segment", "0"],
+            ["--batch-max", "many"],
+            ["--workers", "2"],
+            ["--backend", "inline", "--workers", "1"],
+            ["--backend", "thread"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejected_with_usage(self, argv, capsys):
+        from repro.lbs.frontend import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.lbs.frontend")
+        assert "Traceback" not in err
+
+    def test_workers_accepted_for_process_backend(self):
+        from repro.lbs.frontend import _build_backend, _parser
+
+        args = _parser().parse_args(["--backend", "process", "--workers", "3"])
+        assert args.workers == 3
+        backend = _build_backend(args)
+        try:
+            assert backend.max_workers == 3
+        finally:
+            backend.close()

@@ -1,10 +1,9 @@
 """Tests for :class:`~repro.lbs.service.AnonymizerService` — the serving
 facade: cloaking, the server-side deanonymize endpoint, the raw-document
-``handle`` entry point, and the deprecated ``TrustedAnonymizer`` shim."""
+and the raw-document ``handle`` entry point."""
 
 import json
 import threading
-import warnings
 
 import pytest
 
@@ -31,7 +30,6 @@ from repro.lbs import (
     DeanonymizeRequestDoc,
     OutcomeDoc,
     ReversalEngineCache,
-    TrustedAnonymizer,
 )
 from repro.lbs.wire import (
     MALFORMED_DOCUMENT,
@@ -104,24 +102,34 @@ class TestCloaking:
         envelope = service.cloak_segment(50, profile, chain)
         assert 50 in envelope.region
 
-    def test_explicit_width_overrides_backend(
-        self, service, traffic_snapshot, profile
-    ):
-        requests = [
-            CloakRequest(
-                user_id=user_id,
-                profile=profile,
-                chain=KeyChain.from_passphrases([f"w{user_id}-1", f"w{user_id}-2"]),
+    def test_unknown_user_rejected(self, service, profile):
+        with pytest.raises(MobilityError):
+            service.cloak(
+                CloakRequest(
+                    user_id=10_000,
+                    profile=profile,
+                    chain=KeyChain.from_passphrases(["s1", "s2"]),
+                )
             )
-            for user_id in traffic_snapshot.users()[:6]
-        ]
-        inline = service.cloak_batch(requests, max_workers=1)
-        pooled = service.cloak_batch(requests, max_workers=3)
-        default = service.cloak_batch(requests)
-        expected = [o.envelope.to_json() for o in inline]
-        assert [o.envelope.to_json() for o in pooled] == expected
-        assert [o.envelope.to_json() for o in default] == expected
-        assert service.requests_served == 18
+        assert service.failures == 0  # a missing user is not a cloaking failure
+
+    def test_snapshot_updates_change_results(self, grid10, profile):
+        from repro.mobility import PopulationSnapshot
+
+        service = AnonymizerService(grid10)
+        chain = KeyChain.from_passphrases(["s1", "s2"])
+        dense = PopulationSnapshot.from_counts(
+            {segment_id: 5 for segment_id in grid10.segment_ids()}
+        )
+        sparse = PopulationSnapshot.from_counts(
+            {segment_id: 1 for segment_id in grid10.segment_ids()}
+        )
+        service.update_snapshot(dense)
+        envelope_dense = service.cloak_segment(50, profile, chain)
+        service.update_snapshot(sparse)
+        envelope_sparse = service.cloak_segment(50, profile, chain)
+        # fewer users per segment -> the same k needs a larger region
+        assert len(envelope_sparse.region) > len(envelope_dense.region)
 
 
 def _request_stub(profile):
@@ -584,28 +592,6 @@ class TestServiceDeadlines:
         reply = BatchOutcomeDoc.from_dict(service.handle(batch.to_dict()))
         assert [o.ok for o in reply.outcomes] == [False, True]
         assert reply.outcomes[0].error_code == "deadline_exceeded"
-
-
-class TestTrustedAnonymizerShim:
-    def test_construction_warns_deprecation(self, grid10):
-        with pytest.warns(DeprecationWarning, match="AnonymizerService"):
-            TrustedAnonymizer(grid10)
-
-    def test_delegates_to_service(self, grid10, traffic_snapshot, profile):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = TrustedAnonymizer(grid10)
-        shim.update_snapshot(traffic_snapshot)
-        request = _request(traffic_snapshot, profile, tag="shim")
-        envelope = shim.cloak(request)
-        reference = AnonymizerService(grid10)
-        reference.update_snapshot(traffic_snapshot)
-        assert envelope.to_json() == reference.cloak(request).to_json()
-        assert shim.requests_served == 1
-        assert shim.failures == 0
-        assert isinstance(shim.service, AnonymizerService)
-        outcomes = shim.cloak_batch([request], max_workers=2)
-        assert outcomes[0].envelope.to_json() == envelope.to_json()
 
 
 class TestStats:

@@ -26,11 +26,11 @@ from repro import (
 )
 from repro.attacks import StructuralAdversary, segment_entropy
 from repro.lbs import (
+    AnonymizerService,
     CloakRequest,
     ContinuousCloaker,
     LBSProvider,
     PoiDirectory,
-    TrustedAnonymizer,
 )
 from repro.metrics import nesting_ratios, region_quality
 
@@ -48,7 +48,7 @@ class TestFullDeploymentScenario:
             if request.param == "rge"
             else ReversiblePreassignmentExpansion.for_network(network)
         )
-        anonymizer = TrustedAnonymizer(network, algorithm)
+        anonymizer = AnonymizerService(network, algorithm)
         anonymizer.update_snapshot(simulator.snapshot())
         provider = LBSProvider(PoiDirectory(network, count=250, seed=9))
         return network, simulator, anonymizer, provider

@@ -512,7 +512,7 @@ class ReverseCloakEngine:
         Raises:
             Whatever :meth:`deanonymize` raises, on the first failing item
             — per-item error capture is the serving layer's job
-            (:meth:`repro.lbs.backends.ExecutionBackend.deanonymize_batch`).
+            (:meth:`repro.lbs.backends.ExecutionBackend.deanonymize_batch_raw`).
         """
         cache = draws_cache if draws_cache is not None else DrawsCache()
         # One compiled-plane resolution for the whole batch: every peel's

@@ -1,54 +1,56 @@
 """Pluggable execution backends of the anonymization service.
 
 The serving facade (:class:`~repro.lbs.service.AnonymizerService`) owns the
-protocol — request in, outcome out — and delegates *where the cloaking
-work runs* to an :class:`ExecutionBackend`:
+protocol — request in, outcome out — and delegates *where the work runs*
+to an :class:`ExecutionBackend`:
 
 * :class:`InlineBackend` — the calling thread, one engine. The reference
   implementation the process pool must match byte for byte.
 * :class:`ProcessPoolBackend` — N worker *processes*, each holding its own
-  engine rebuilt from wire documents against a per-batch snapshot. Work
-  and results cross the boundary as wire documents only, so serving is
-  byte-identical to inline and the workers never share mutable state —
-  the seam every later sharding/async PR builds on.
+  engine rebuilt from wire documents against a per-batch snapshot, so
+  the workers never share mutable state with the parent or each other.
 
-A backend is bound once to an immutable :class:`BackendSpec` (network +
-algorithm + hint policy) and then serves any number of batches; each batch
-is pinned to the one snapshot it was submitted with. Outcomes come back in
-request order, failures in place (:class:`BatchOutcome`), and *unexpected*
-exceptions — anything outside the documented
-:class:`~repro.errors.CloakingError` / :class:`~repro.errors.MobilityError`
-serving failures — propagate to the caller instead of being swallowed into
-outcomes.
+Wire documents are the only thing that crosses the seam. A backend is
+bound once to an immutable :class:`BackendSpec` (network + algorithm +
+hint policy) and then serves any number of batches through exactly two
+methods, both defined on :class:`ExecutionBackend` itself:
 
-Since PR 5 the seam carries the system's headline operation too:
-:meth:`ExecutionBackend.deanonymize_batch` serves a batch of
-de-anonymization requests (:class:`~repro.lbs.wire.DeanonymizeRequestDoc`)
-under the same contract — outcomes in request order
-(:class:`ReversalOutcome`), per-item typed failures
-(:class:`~repro.errors.DeanonymizationError` /
-:class:`~repro.errors.EnvelopeError` / :class:`~repro.errors.ProfileError`)
-in place, anything else propagating, byte-identical results across every
-backend. Reversal needs no population snapshot (envelopes are
-self-describing), so the batch is snapshot-free; reversal engines are
-resolved from each envelope's own algorithm metadata through a bounded
-:class:`ReversalEngineCache`, and peels within a batch share keyed-draw
-buffers through one :class:`~repro.core.reversal.DrawsCache` per serving
-thread.
+* :meth:`~ExecutionBackend.cloak_batch_raw` — raw cloak request
+  documents (:class:`~repro.lbs.wire.CloakRequestDoc` dicts) against the
+  one snapshot the batch was submitted with;
+* :meth:`~ExecutionBackend.deanonymize_batch_raw` — raw reversal request
+  documents (:class:`~repro.lbs.wire.DeanonymizeRequestDoc` dicts);
+  snapshot-free, because envelopes are self-describing.
 
-Since PR 6 the seam is fault-tolerant: every backend enforces the
-cooperative per-request deadlines carried in the wire documents
-(``deadline_ms``, surfacing as the structured ``deadline_exceeded`` code),
-and :class:`ProcessPoolBackend` supervises its workers — death of a shard
-mid-batch is recovered by respawn + chunk re-drive with bounded retries,
-degrading to inline execution rather than ever losing a batch. The
-recovery paths are exercised deterministically through
+Both answer one :class:`~repro.lbs.wire.OutcomeDoc` dict per document, in
+order. Per-item failures ride in place as structured error documents:
+malformed documents, unknown users, the typed cloaking failures
+(:class:`~repro.errors.CloakingError`) and the typed reversal failures
+(:data:`ReversalServingError`). Anything else — an engine bug, an
+infrastructure failure — propagates to the caller instead of being
+swallowed into outcomes.
+
+Each operation has one per-item serving function, :func:`_serve_chunk_docs`
+and :func:`_peel_chunk_docs`. :class:`InlineBackend` runs it in process,
+the pool's workers run it once per chunk, and the pool runs it on the
+parent when a chunk degrades. Only user resolution happens before it, on
+the parent, once per batch for every backend: the parent alone holds the
+full snapshot, so workers need population counts only. Reversal engines
+come from each envelope's own algorithm metadata through a bounded
+:class:`ReversalEngineCache`, and the peels of one chunk share keyed-draw
+buffers through one :class:`~repro.core.reversal.DrawsCache`.
+
+Every item runs under the cooperative deadline its document carries
+(``deadline_ms``, surfacing as the structured ``deadline_exceeded``
+code), and :class:`ProcessPoolBackend` supervises its workers: death of a
+shard mid-batch is recovered by respawn + chunk re-drive with bounded
+retries, degrading to inline execution rather than ever losing a batch.
+The recovery paths are exercised deterministically through
 :mod:`repro.lbs.faults`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import stat
@@ -109,8 +111,8 @@ ServingError = Union[CloakingError, MobilityError]
 #: Anything else is a bug or an infrastructure failure and must propagate.
 ReversalServingError = Union[DeanonymizationError, EnvelopeError, ProfileError]
 
-#: The isinstance tuple of :data:`ReversalServingError` (also what the
-#: process-pool workers convert into per-item outcome documents).
+#: The isinstance tuple of :data:`ReversalServingError` (what
+#: :func:`_peel_chunk_docs` converts into per-item outcome documents).
 _REVERSAL_ERRORS = (DeanonymizationError, EnvelopeError, ProfileError)
 
 
@@ -245,39 +247,6 @@ class ReversalEngineCache:
         return engine
 
 
-def _peel_outcome(
-    engines: ReversalEngineCache,
-    request: DeanonymizeRequestDoc,
-    draws_cache: Optional[DrawsCache],
-    deadline: Optional[Deadline] = None,
-) -> ReversalOutcome:
-    """One reversal request against a pinned engine cache.
-
-    The single code path every backend funnels reversal through (process
-    workers via its wire-doc twin ``_peel_chunk_docs``): resolve the
-    engine from the envelope's own metadata, peel under the request's
-    cooperative deadline, capture the typed failure union in place
-    (:class:`~repro.errors.DeadlineExceededError` is a
-    :class:`~repro.errors.DeanonymizationError`, so expiry lands in place
-    like any other per-item failure).
-    """
-    if deadline is None:
-        deadline = Deadline.start(request.deadline_ms)
-    try:
-        engine = engines.engine_for(request.envelope)
-        result = engine.deanonymize(
-            request.envelope,
-            request.key_map(),
-            request.target_level,
-            mode=request.mode,
-            draws_cache=draws_cache,
-            checkpoint=deadline.check if deadline.active else None,
-        )
-    except _REVERSAL_ERRORS as exc:
-        return ReversalOutcome(request=request, error=exc)
-    return ReversalOutcome(request=request, result=result)
-
-
 @dataclass(frozen=True)
 class BackendSpec:
     """Everything a backend needs to run the cloaking work anywhere.
@@ -297,54 +266,129 @@ class BackendSpec:
         return ReverseCloakEngine(self.network, self.algorithm)
 
 
-def serve_request(
-    engine: ReverseCloakEngine,
-    snapshot: PopulationSnapshot,
-    request: CloakRequest,
-    include_hints: bool,
-    deadline: Optional[Deadline] = None,
-) -> CloakEnvelope:
-    """One request against a pinned (engine, snapshot) pair.
+def user_segment_of(snapshot: PopulationSnapshot, user_id: int) -> int:
+    """The segment ``user_id`` occupies in ``snapshot``.
 
-    The single code path every backend funnels through (process workers
-    via their wire-doc twin ``_serve_chunk_docs``): resolve the user
-    (unless the request already carries its pre-resolved segment), expand
-    under the request's cooperative deadline, return the envelope. Raw
-    location is used transiently and not retained.
+    Raises:
+        MobilityError: The user is not in the snapshot.
     """
-    if deadline is None:
-        deadline = Deadline.start(request.deadline_ms)
-    user_segment = request.user_segment
-    if user_segment is None:
-        if not snapshot.has_user(request.user_id):
-            raise MobilityError(
-                f"user {request.user_id} is not in the current snapshot"
-            )
-        user_segment = snapshot.segment_of(request.user_id)
-    return engine.anonymize(
-        user_segment,
-        snapshot,
-        request.profile,
-        request.chain,
-        include_hints=include_hints,
-        checkpoint=deadline.check if deadline.active else None,
-    )
+    if not snapshot.has_user(user_id):
+        raise MobilityError(f"user {user_id} is not in the current snapshot")
+    return snapshot.segment_of(user_id)
 
 
-def _serve_outcome(
+def _resolve_user(snapshot: PopulationSnapshot, document) -> dict:
+    """``document`` with its user resolved to a ``user_segment``.
+
+    A document that already carries a segment passes unchanged. The fast
+    path — a literal ``int`` user id the snapshot knows — patches the
+    segment into a copy without parsing: the chunk function parses every
+    document it serves anyway. Anything else is parsed first, so a
+    malformed document fails as malformed before it can fail as an
+    unknown user.
+
+    Raises:
+        WireFormatError: The document is malformed.
+        MobilityError: The user is not in the snapshot.
+    """
+    if isinstance(document, dict):
+        if document.get("user_segment") is not None:
+            return document
+        user_id = document.get("user_id")
+        # `type` not `isinstance`: bool subclasses int, and from_dict's
+        # int() coercion must stay the one authority on anything that is
+        # not literally an int already.
+        if type(user_id) is int and snapshot.has_user(user_id):
+            return dict(document, user_segment=snapshot.segment_of(user_id))
+    user_id = CloakRequestDoc.from_dict(document).user_id
+    return dict(document, user_segment=user_segment_of(snapshot, user_id))
+
+
+def _serve_chunk_docs(
     engine: ReverseCloakEngine,
     snapshot: PopulationSnapshot,
-    request: CloakRequest,
     include_hints: bool,
-    deadline: Optional[Deadline] = None,
-) -> BatchOutcome:
-    try:
-        envelope = serve_request(
-            engine, snapshot, request, include_hints, deadline=deadline
-        )
-    except (CloakingError, MobilityError) as exc:
-        return BatchOutcome(request=request, error=exc)
-    return BatchOutcome(request=request, envelope=envelope)
+    request_docs: Sequence[dict],
+    injector: Optional[FaultInjector] = None,
+    chunk: int = 0,
+) -> List[dict]:
+    """Serve one chunk of resolved cloak request documents.
+
+    The one per-item cloaking path: inline serving, the process-pool
+    workers and the pool's inline degradation all run it. Each document
+    is parsed here (a malformed one answers in place), runs under its own
+    cooperative deadline, and expected serving failures — deadline expiry
+    included — become error outcome documents in place. Anything else
+    propagates.
+    """
+    outcomes = []
+    for item, request_doc in enumerate(request_docs):
+        try:
+            doc = CloakRequestDoc.from_dict(request_doc)
+        except WireFormatError as exc:
+            outcomes.append(OutcomeDoc.from_exception(exc).to_dict())
+            continue
+        deadline = Deadline.start(doc.deadline_ms)
+        if injector is not None:
+            injector.on_item(chunk, item, "cloak", deadline)
+        try:
+            envelope = engine.anonymize(
+                doc.user_segment,
+                snapshot,
+                doc.profile,
+                doc.chain,
+                include_hints=include_hints,
+                checkpoint=deadline.check if deadline.active else None,
+            )
+        except CloakingError as exc:
+            outcomes.append(OutcomeDoc.from_exception(exc).to_dict())
+        else:
+            outcomes.append(OutcomeDoc.from_envelope(envelope).to_dict())
+    return outcomes
+
+
+def _peel_chunk_docs(
+    engines: ReversalEngineCache,
+    request_docs: Sequence[dict],
+    draws_cache: Optional[DrawsCache] = None,
+    injector: Optional[FaultInjector] = None,
+    chunk: int = 0,
+) -> List[dict]:
+    """Serve one chunk of reversal request documents.
+
+    The one per-item reversal path, run wherever :func:`_serve_chunk_docs`
+    runs. Each item's engine comes from the envelope's own algorithm
+    metadata through the bounded cache, the chunk shares one keyed-draw
+    cache, each item runs under its own cooperative deadline, and every
+    typed reversal failure — a malformed document and deadline expiry
+    included (:class:`~repro.errors.DeadlineExceededError` is a
+    :class:`~repro.errors.DeanonymizationError`) — becomes a structured
+    error outcome in place. Anything else propagates.
+    """
+    outcomes = []
+    for item, request_doc in enumerate(request_docs):
+        try:
+            doc = DeanonymizeRequestDoc.from_dict(request_doc)
+        except WireFormatError as exc:
+            outcomes.append(OutcomeDoc.from_exception(exc).to_dict())
+            continue
+        deadline = Deadline.start(doc.deadline_ms)
+        if injector is not None:
+            injector.on_item(chunk, item, "peel", deadline)
+        try:
+            result = engines.engine_for(doc.envelope).deanonymize(
+                doc.envelope,
+                doc.key_map(),
+                doc.target_level,
+                mode=doc.mode,
+                draws_cache=draws_cache,
+                checkpoint=deadline.check if deadline.active else None,
+            )
+        except _REVERSAL_ERRORS as exc:
+            outcomes.append(OutcomeDoc.from_exception(exc).to_dict())
+        else:
+            outcomes.append(OutcomeDoc.from_result(result).to_dict())
+    return outcomes
 
 
 class ExecutionBackend(ABC):
@@ -352,9 +396,12 @@ class ExecutionBackend(ABC):
 
     Lifecycle: the service calls :meth:`bind` exactly once with its
     immutable :class:`BackendSpec`, then any number of
-    :meth:`cloak_batch` / :meth:`deanonymize_batch` calls, then
+    :meth:`cloak_batch_raw` / :meth:`deanonymize_batch_raw` calls, then
     :meth:`close`. Backends are thread-safe for concurrent batch
     submissions.
+
+    The two serving methods live here and only here; a backend implements
+    the hooks behind them, :meth:`_serve_cloaks` and :meth:`_serve_peels`.
     """
 
     _spec: Optional[BackendSpec] = None
@@ -372,122 +419,66 @@ class ExecutionBackend(ABC):
             raise CloakingError("backend is not bound to a service yet")
         return self._spec
 
-    @abstractmethod
-    def cloak_batch(
-        self, snapshot: PopulationSnapshot, requests: Sequence[CloakRequest]
-    ) -> List[BatchOutcome]:
-        """Serve ``requests`` against ``snapshot``, outcomes in order."""
-
-    @abstractmethod
-    def deanonymize_batch(
-        self, requests: Sequence[DeanonymizeRequestDoc]
-    ) -> List[ReversalOutcome]:
-        """Serve a batch of reversal requests, outcomes in request order.
-
-        Snapshot-free: each envelope carries everything reversal needs.
-        Per-item :data:`ReversalServingError` failures come back in place;
-        anything else propagates. Results are byte-identical across every
-        backend.
-        """
-
-    def cloak_batch_docs(
-        self, snapshot: PopulationSnapshot, docs: Sequence[CloakRequestDoc]
-    ) -> List[dict]:
-        """Serve parsed cloak request documents; outcome documents in order.
-
-        The wire-document twin of :meth:`cloak_batch`, for transports that
-        already hold parsed documents (the network front-end's coalescer):
-        same serving semantics and byte-identical envelopes, but results
-        come back as :class:`~repro.lbs.wire.OutcomeDoc` dicts ready to
-        serialize — per-item failures ride in place as structured error
-        documents instead of exceptions.
-        """
-        outcomes = self.cloak_batch(snapshot, [doc.to_request() for doc in docs])
-        return [
-            OutcomeDoc.from_envelope(outcome.envelope).to_dict()
-            if outcome.ok
-            else OutcomeDoc.from_exception(outcome.error).to_dict()
-            for outcome in outcomes
-        ]
-
-    def deanonymize_batch_docs(
-        self, docs: Sequence[DeanonymizeRequestDoc]
-    ) -> List[dict]:
-        """Serve parsed reversal request documents; outcome documents in
-        order — the wire-document twin of :meth:`deanonymize_batch` (see
-        :meth:`cloak_batch_docs`)."""
-        outcomes = self.deanonymize_batch(docs)
-        return [
-            OutcomeDoc.from_result(outcome.result).to_dict()
-            if outcome.ok
-            else OutcomeDoc.from_exception(outcome.error).to_dict()
-            for outcome in outcomes
-        ]
-
     def cloak_batch_raw(
         self, snapshot: PopulationSnapshot, documents: Sequence[dict]
     ) -> List[dict]:
-        """Serve *raw* (unparsed) cloak request documents; outcome
-        documents in order.
+        """Serve raw (unparsed) cloak request documents against
+        ``snapshot``; outcome documents in order.
 
-        The entry the transport coalescer calls: parse failures, unknown
-        users and serving failures all ride in place as structured error
-        documents — this method never raises for a bad document. The
-        default validates parent-side and delegates to
-        :meth:`cloak_batch_docs`; backends whose workers re-validate every
-        document anyway may override it to defer validation to the shard
-        and skip the duplicate parse.
+        Parse failures, unknown users and serving failures all answer in
+        place as structured error documents; this method never raises for
+        a bad document. Users are resolved here, on the caller's side (see
+        :func:`_resolve_user`); a document that fails resolution never
+        reaches :meth:`_serve_cloaks`.
+
+        Raises:
+            CloakingError: The backend is not bound to a service.
         """
+        if not documents:
+            return []
+        self.spec  # raise the unbound error before any work
         outcomes: List[Optional[dict]] = [None] * len(documents)
-        docs: List[CloakRequestDoc] = []
+        resolved: List[dict] = []
         positions: List[int] = []
         for position, document in enumerate(documents):
             try:
-                doc = CloakRequestDoc.from_dict(document)
-                if doc.user_segment is None:
-                    # Resolve against the snapshot up front (the shard may
-                    # only hold counts): an unknown user fails here, in
-                    # place, exactly like the single-request path.
-                    if not snapshot.has_user(doc.user_id):
-                        raise MobilityError(
-                            f"user {doc.user_id} is not in the current "
-                            "snapshot"
-                        )
-                    doc = dataclasses.replace(
-                        doc, user_segment=snapshot.segment_of(doc.user_id)
-                    )
+                resolved.append(_resolve_user(snapshot, document))
             except ReverseCloakError as exc:
                 outcomes[position] = OutcomeDoc.from_exception(exc).to_dict()
                 continue
-            docs.append(doc)
             positions.append(position)
-        if docs:
+        if resolved:
             for position, outcome in zip(
-                positions, self.cloak_batch_docs(snapshot, docs)
+                positions, self._serve_cloaks(snapshot, resolved)
             ):
                 outcomes[position] = outcome
         return outcomes  # type: ignore[return-value]
 
     def deanonymize_batch_raw(self, documents: Sequence[dict]) -> List[dict]:
-        """Serve *raw* (unparsed) reversal request documents; outcome
-        documents in order — the raw twin of :meth:`cloak_batch_raw`
-        (reversal is snapshot-free)."""
-        outcomes: List[Optional[dict]] = [None] * len(documents)
-        docs: List[DeanonymizeRequestDoc] = []
-        positions: List[int] = []
-        for position, document in enumerate(documents):
-            try:
-                docs.append(DeanonymizeRequestDoc.from_dict(document))
-            except ReverseCloakError as exc:
-                outcomes[position] = OutcomeDoc.from_exception(exc).to_dict()
-                continue
-            positions.append(position)
-        if docs:
-            for position, outcome in zip(
-                positions, self.deanonymize_batch_docs(docs)
-            ):
-                outcomes[position] = outcome
-        return outcomes  # type: ignore[return-value]
+        """Serve raw (unparsed) reversal request documents; outcome
+        documents in order.
+
+        Snapshot-free: each envelope carries everything reversal needs, so
+        the documents go to :meth:`_serve_peels` as they are, and its
+        per-item parse answers a malformed one in place.
+
+        Raises:
+            CloakingError: The backend is not bound to a service.
+        """
+        if not documents:
+            return []
+        self.spec  # raise the unbound error before any work
+        return self._serve_peels(list(documents))
+
+    @abstractmethod
+    def _serve_cloaks(
+        self, snapshot: PopulationSnapshot, documents: List[dict]
+    ) -> List[dict]:
+        """Outcome documents of resolved cloak documents, in order."""
+
+    @abstractmethod
+    def _serve_peels(self, documents: List[dict]) -> List[dict]:
+        """Outcome documents of raw reversal documents, in order."""
 
     def close(self) -> None:
         """Release worker resources (idempotent)."""
@@ -511,9 +502,10 @@ class InlineBackend(ExecutionBackend):
         fault_plan: Optional :class:`~repro.lbs.faults.FaultPlan`
             (defaults to the ambient :data:`~repro.lbs.faults.FAULT_PLAN_ENV`
             plan). Inline serving presents to the plan as worker ``0``,
-            incarnation ``0``, with each batch as one chunk — but only
-            ``delay`` faults apply: kill and drop faults are inert
-            in-process (there is no worker to lose).
+            incarnation ``0``, with each batch as one chunk whose items are
+            the documents that reached serving — but only ``delay`` faults
+            apply: kill and drop faults are inert in-process (there is no
+            worker to lose).
     """
 
     def __init__(self, fault_plan: Optional[FaultPlan] = None) -> None:
@@ -542,48 +534,35 @@ class InlineBackend(ExecutionBackend):
             self._chunk_counter += 1
             return chunk
 
-    def cloak_batch(
-        self, snapshot: PopulationSnapshot, requests: Sequence[CloakRequest]
-    ) -> List[BatchOutcome]:
-        spec = self.spec
-        engine = self._engine
+    def _fault_slot(self) -> Tuple[Optional[FaultInjector], int]:
+        """The (injector, chunk id) of the next batch; ``(None, 0)``
+        without a fault plan, so fault-free serving draws no chunk id."""
         if not self._injector:
-            return [
-                _serve_outcome(engine, snapshot, request, spec.include_hints)
-                for request in requests
-            ]
-        chunk = self._next_chunk()
-        outcomes = []
-        for item, request in enumerate(requests):
-            deadline = Deadline.start(request.deadline_ms)
-            self._injector.on_item(chunk, item, "cloak", deadline)
-            outcomes.append(
-                _serve_outcome(
-                    engine, snapshot, request, spec.include_hints, deadline=deadline
-                )
-            )
-        return outcomes
+            return None, 0
+        return self._injector, self._next_chunk()
 
-    def deanonymize_batch(
-        self, requests: Sequence[DeanonymizeRequestDoc]
-    ) -> List[ReversalOutcome]:
-        self.spec  # raise the unbound error before any work
-        engines = self._reversal_engines
-        draws_cache = DrawsCache()
-        if not self._injector:
-            return [
-                _peel_outcome(engines, request, draws_cache)
-                for request in requests
-            ]
-        chunk = self._next_chunk()
-        outcomes = []
-        for item, request in enumerate(requests):
-            deadline = Deadline.start(request.deadline_ms)
-            self._injector.on_item(chunk, item, "peel", deadline)
-            outcomes.append(
-                _peel_outcome(engines, request, draws_cache, deadline=deadline)
-            )
-        return outcomes
+    def _serve_cloaks(
+        self, snapshot: PopulationSnapshot, documents: List[dict]
+    ) -> List[dict]:
+        injector, chunk = self._fault_slot()
+        return _serve_chunk_docs(
+            self._engine,
+            snapshot,
+            self.spec.include_hints,
+            documents,
+            injector=injector,
+            chunk=chunk,
+        )
+
+    def _serve_peels(self, documents: List[dict]) -> List[dict]:
+        injector, chunk = self._fault_slot()
+        return _peel_chunk_docs(
+            self._reversal_engines,
+            documents,
+            DrawsCache(),
+            injector=injector,
+            chunk=chunk,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -617,88 +596,6 @@ def _worker_init(
         snapshot_token=None,
         snapshot=None,
     )
-
-
-def _serve_chunk_docs(
-    engine: ReverseCloakEngine,
-    snapshot: PopulationSnapshot,
-    include_hints: bool,
-    request_docs: Sequence[dict],
-    injector: Optional[FaultInjector] = None,
-    chunk: int = 0,
-) -> List[dict]:
-    """Serve one chunk of cloaking request documents against an engine.
-
-    The wire-doc twin of :func:`_serve_outcome`, shared by the process-pool
-    workers and the parent's inline degradation path (which is why it takes
-    plain documents, not live requests): each item runs under its own
-    cooperative deadline, expected serving failures — deadline expiry
-    included — become error outcome documents in place, anything else
-    propagates.
-    """
-    outcomes = []
-    for item, request_doc in enumerate(request_docs):
-        try:
-            doc = CloakRequestDoc.from_dict(request_doc)
-        except WireFormatError as exc:
-            # Raw documents may reach the shard unvalidated (the
-            # coalescing fast path defers parsing here); a malformed item
-            # answers in place, like its reversal twin below.
-            outcomes.append(OutcomeDoc.from_exception(exc).to_dict())
-            continue
-        deadline = Deadline.start(doc.deadline_ms)
-        if injector is not None:
-            injector.on_item(chunk, item, "cloak", deadline)
-        try:
-            envelope = engine.anonymize(
-                doc.user_segment,
-                snapshot,
-                doc.profile,
-                doc.chain,
-                include_hints=include_hints,
-                checkpoint=deadline.check if deadline.active else None,
-            )
-        except CloakingError as exc:
-            outcomes.append(OutcomeDoc.from_exception(exc).to_dict())
-        else:
-            outcomes.append(OutcomeDoc.from_envelope(envelope).to_dict())
-    return outcomes
-
-
-def _peel_chunk_docs(
-    engines: ReversalEngineCache,
-    request_docs: Sequence[dict],
-    draws_cache: Optional[DrawsCache] = None,
-    injector: Optional[FaultInjector] = None,
-    chunk: int = 0,
-) -> List[dict]:
-    """Serve one chunk of reversal request documents against an engine cache.
-
-    The wire-doc twin of :func:`_peel_outcome`, shared by the process-pool
-    workers and the parent's inline degradation path: each item's engine is
-    resolved from the envelope's own algorithm metadata through the bounded
-    cache, the chunk shares one keyed-draw cache, each item runs under its
-    own cooperative deadline, and every typed reversal failure — including
-    a malformed item document — becomes a structured error outcome in
-    place. Anything else propagates.
-    """
-    outcomes = []
-    for item, request_doc in enumerate(request_docs):
-        try:
-            doc = DeanonymizeRequestDoc.from_dict(request_doc)
-        except WireFormatError as exc:
-            outcomes.append(OutcomeDoc.from_exception(exc).to_dict())
-            continue
-        deadline = Deadline.start(doc.deadline_ms)
-        if injector is not None:
-            injector.on_item(chunk, item, "peel", deadline)
-        outcome = _peel_outcome(engines, doc, draws_cache, deadline=deadline)
-        outcomes.append(
-            OutcomeDoc.from_result(outcome.result).to_dict()
-            if outcome.ok
-            else OutcomeDoc.from_exception(outcome.error).to_dict()
-        )
-    return outcomes
 
 
 def _worker_serve_chunk(
@@ -899,11 +796,12 @@ class ProcessPoolBackend(ExecutionBackend):
       monotonically increasing token — workers cache the parsed snapshot
       by token, so a steady stream of batches against one snapshot pays
       the (de)serialization once per worker, not once per batch;
-    * requests ship as :class:`~repro.lbs.wire.CloakRequestDoc` dicts with
-      the user already resolved to a segment (the parent holds the
-      user-to-segment map; workers only ever need counts), and results
-      return as :class:`~repro.lbs.wire.OutcomeDoc` dicts;
-    * reversal batches (:meth:`deanonymize_batch`) ship as
+    * cloak requests ship as the caller's raw
+      :class:`~repro.lbs.wire.CloakRequestDoc` dicts with the user already
+      resolved to a segment (the parent holds the user-to-segment map;
+      workers only ever need counts), and results return as
+      :class:`~repro.lbs.wire.OutcomeDoc` dicts;
+    * reversal requests ship as raw
       :class:`~repro.lbs.wire.DeanonymizeRequestDoc` dicts — snapshot-free;
       workers rebuild each envelope's reversal engine from its own
       algorithm metadata through a bounded per-worker cache.
@@ -913,8 +811,8 @@ class ProcessPoolBackend(ExecutionBackend):
     asserted by the backend tests.
 
     Batches are dispatched one at a time (a lock serializes
-    :meth:`cloak_batch` / :meth:`deanonymize_batch` callers); parallelism
-    lives *inside* a batch.
+    :meth:`cloak_batch_raw` / :meth:`deanonymize_batch_raw` callers);
+    parallelism lives *inside* a batch.
 
     **Supervision.** Worker death is an operational event, not a batch
     failure: when a pipe dies (EOF, broken pipe, reset) or a dispatch wait
@@ -1080,199 +978,43 @@ class ProcessPoolBackend(ExecutionBackend):
             self._cold_token = True
         return self._snapshot_token, self._snapshot_blob
 
-    def cloak_batch(
-        self, snapshot: PopulationSnapshot, requests: Sequence[CloakRequest]
-    ) -> List[BatchOutcome]:
-        if not requests:
-            return []
-        # Resolve users up front (the parent holds the full snapshot) so
-        # workers need only counts; unknown users fail here, in place,
-        # exactly like inline serving. Requests arriving with their segment
-        # pre-resolved skip the lookup.
-        outcomes: List[Optional[BatchOutcome]] = [None] * len(requests)
-        chunk_docs: List[dict] = []
-        chunk_positions: List[int] = []
-        for position, request in enumerate(requests):
-            user_segment = request.user_segment
-            if user_segment is None:
-                if not snapshot.has_user(request.user_id):
-                    outcomes[position] = BatchOutcome(
-                        request=request,
-                        error=MobilityError(
-                            f"user {request.user_id} is not in the current snapshot"
-                        ),
-                    )
-                    continue
-                user_segment = snapshot.segment_of(request.user_id)
-            doc = CloakRequestDoc.from_request(request, user_segment=user_segment)
-            chunk_docs.append(doc.to_dict())
-            chunk_positions.append(position)
-
-        if chunk_docs:
-            with self._dispatch_lock:
-                replies = self._dispatch(snapshot, chunk_docs)
-            cursor = 0
-            failure: Optional[BaseException] = None
-            for reply in replies:
-                outcome_doc = OutcomeDoc.from_dict(reply)
-                position = chunk_positions[cursor]
-                cursor += 1
-                request = requests[position]
-                if outcome_doc.ok:
-                    outcomes[position] = BatchOutcome(
-                        request=request, envelope=outcome_doc.envelope
-                    )
-                else:
-                    error = outcome_doc.to_exception()
-                    if not isinstance(error, (CloakingError, MobilityError)):
-                        failure = failure or error
-                        continue
-                    outcomes[position] = BatchOutcome(request=request, error=error)
-            if failure is not None:
-                raise failure
-        return list(outcomes)  # type: ignore[arg-type]
-
-    def cloak_batch_docs(
-        self, snapshot: PopulationSnapshot, docs: Sequence[CloakRequestDoc]
+    def _serve_cloaks(
+        self, snapshot: PopulationSnapshot, documents: List[dict]
     ) -> List[dict]:
-        """Ship parsed cloak documents straight to the worker shards.
+        """Fan resolved cloak documents out to the worker shards; replies
+        in batch order.
 
-        Overrides the default to skip the request-object round-trip: the
-        parsed documents go over the pipes as-is (after parent-side user
-        resolution for any item still carrying only a user id) and the
-        workers' outcome documents come back untouched — the hot path of
-        the network front-end's coalescer. Unlike :meth:`cloak_batch`,
-        *every* worker-reported error rides in place as a structured
-        outcome document; nothing re-raises, because a transport caller
-        answers per item.
+        The documents cross the pipes as they are: each shard parses what
+        it serves, so a malformed document answers in place from there. A
+        worker answering :data:`_NEED_SNAPSHOT` gets its chunk once more
+        with the snapshot document attached (see :meth:`_collect_chunk`).
         """
-        if not docs:
-            return []
-        self.spec  # raise the unbound error before spawning anything
-        outcomes: List[Optional[dict]] = [None] * len(docs)
-        chunk_docs: List[dict] = []
-        chunk_positions: List[int] = []
-        for position, doc in enumerate(docs):
-            if doc.user_segment is None:
-                if not snapshot.has_user(doc.user_id):
-                    error = MobilityError(
-                        f"user {doc.user_id} is not in the current snapshot"
-                    )
-                    outcomes[position] = OutcomeDoc.from_exception(error).to_dict()
-                    continue
-                doc = dataclasses.replace(
-                    doc, user_segment=snapshot.segment_of(doc.user_id)
-                )
-            chunk_docs.append(doc.to_dict())
-            chunk_positions.append(position)
-        if chunk_docs:
-            with self._dispatch_lock:
-                replies = self._dispatch(snapshot, chunk_docs)
-            for position, reply in zip(chunk_positions, replies):
-                outcomes[position] = reply
-        return list(outcomes)  # type: ignore[arg-type]
-
-    def deanonymize_batch_docs(
-        self, docs: Sequence[DeanonymizeRequestDoc]
-    ) -> List[dict]:
-        """Ship parsed reversal documents straight to the worker shards
-        (see :meth:`cloak_batch_docs`; reversal is snapshot-free)."""
-        if not docs:
-            return []
-        self.spec  # raise the unbound error before spawning anything
-        chunk_docs = [doc.to_dict() for doc in docs]
         with self._dispatch_lock:
-            return self._dispatch_peels(chunk_docs)
+            return self._dispatch_cloaks(snapshot, documents)
 
-    def cloak_batch_raw(
-        self, snapshot: PopulationSnapshot, documents: Sequence[dict]
+    def _dispatch_cloaks(
+        self, snapshot: PopulationSnapshot, documents: List[dict]
     ) -> List[dict]:
-        """Ship raw cloak documents to the worker shards unparsed.
-
-        The shards run ``CloakRequestDoc.from_dict`` on every document they
-        serve, so the parent-side parse of the default implementation is
-        pure duplication — measurable on the coalescer's hot path, where
-        the parent competes with its own workers for cores. The parent
-        only patches in the user's segment (it alone holds the full
-        snapshot); a malformed document answers in place from the shard's
-        parse. Documents the id fast path cannot vouch for — a
-        non-integer ``user_id``, an unknown user — take the parsing
-        default instead, which preserves error precedence: a malformed
-        document must fail as malformed, never as merely unknown.
-        """
-        if not documents:
-            return []
-        self.spec  # raise the unbound error before spawning anything
-        outcomes: List[Optional[dict]] = [None] * len(documents)
-        chunk_docs: List[dict] = []
-        chunk_positions: List[int] = []
-        slow_documents: List[dict] = []
-        slow_positions: List[int] = []
-        for position, document in enumerate(documents):
-            if isinstance(document, dict) and document.get("user_segment") is None:
-                user_id = document.get("user_id")
-                # `type` not `isinstance`: bool subclasses int, and
-                # from_dict's int() coercion must stay the one authority
-                # on anything that is not literally an int already.
-                if type(user_id) is int and snapshot.has_user(user_id):
-                    document = dict(
-                        document, user_segment=snapshot.segment_of(user_id)
-                    )
-                else:
-                    slow_documents.append(document)
-                    slow_positions.append(position)
-                    continue
-            chunk_docs.append(document)
-            chunk_positions.append(position)
-        if slow_documents:
-            for position, outcome in zip(
-                slow_positions,
-                super().cloak_batch_raw(snapshot, slow_documents),
-            ):
-                outcomes[position] = outcome
-        if chunk_docs:
-            with self._dispatch_lock:
-                replies = self._dispatch(snapshot, chunk_docs)
-            for position, reply in zip(chunk_positions, replies):
-                outcomes[position] = reply
-        return list(outcomes)  # type: ignore[arg-type]
-
-    def deanonymize_batch_raw(self, documents: Sequence[dict]) -> List[dict]:
-        """Ship raw reversal documents to the worker shards unparsed (see
-        :meth:`cloak_batch_raw`; the shard's per-item parse answers
-        malformed documents in place)."""
-        if not documents:
-            return []
-        self.spec  # raise the unbound error before spawning anything
-        with self._dispatch_lock:
-            return self._dispatch_peels(list(documents))
-
-    def _dispatch(
-        self, snapshot: PopulationSnapshot, chunk_docs: List[dict]
-    ) -> List[dict]:
-        """Fan the batch out to the worker shards; replies in batch order.
-
-        Dispatch lock held. A worker answering :data:`_NEED_SNAPSHOT` gets
-        its chunk once more with the snapshot document attached. Failures a
-        worker *reports* (``("raise", exc)``) keep the pipes aligned — the
-        other replies are drained before re-raising; a *transport* failure
-        (dead worker, broken pipe, missed dispatch wait) is recovered by
-        supervision (see :meth:`_collect_chunk`): the slot is respawned and
-        only the lost chunk re-driven, so the surviving workers' replies
-        are never discarded.
-        """
+        """:meth:`_serve_cloaks` with the dispatch lock held: the snapshot
+        blob rides along eagerly only while its token is cold."""
         token, blob = self._snapshot_wire(snapshot)
-        ship_blob = blob if self._cold_token else None
         replies = self._drive(
             "cloak",
-            self._chunk(chunk_docs),
+            self._chunk(documents),
             snapshot=snapshot,
             token=token,
             blob=blob,
-            ship_blob=ship_blob,
+            ship_blob=blob if self._cold_token else None,
         )
         self._cold_token = False
         return replies
+
+    def _serve_peels(self, documents: List[dict]) -> List[dict]:
+        """Fan raw reversal documents out to the worker shards; replies in
+        batch order. Same supervision as :meth:`_serve_cloaks`, minus the
+        snapshot machinery, which reversal does not need."""
+        with self._dispatch_lock:
+            return self._drive("peel", self._chunk(documents))
 
     def _message(
         self, op: str, chunk: List[dict], token: Optional[int], blob: Optional[str]
@@ -1288,13 +1030,17 @@ class ProcessPoolBackend(ExecutionBackend):
         item carries a deadline, the worker must have answered by the
         largest one (plus cooperative grace) — this is the parent-side
         deadline enforcement on dispatch waits. ``None`` blocks forever.
+        The documents are unparsed here, so an item whose deadline is
+        missing or not a number leaves the wait unbounded by deadlines;
+        the worker's parse answers for it.
         """
         timeout = self._dispatch_timeout_s
-        deadlines = [doc.get("deadline_ms") for doc in chunk]
-        if deadlines and all(value is not None for value in deadlines):
-            bound = max(deadlines) / 1000.0 + _DEADLINE_WAIT_GRACE_S
-            timeout = bound if timeout is None else min(timeout, bound)
-        return timeout
+        try:
+            latest = max(float(doc["deadline_ms"]) for doc in chunk)
+        except (KeyError, TypeError, ValueError):
+            return timeout
+        bound = latest / 1000.0 + _DEADLINE_WAIT_GRACE_S
+        return bound if timeout is None else min(timeout, bound)
 
     def _recv_reply(self, handle: _WorkerHandle, timeout: Optional[float]):
         if timeout is not None and not handle.connection.poll(timeout):
@@ -1373,7 +1119,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     sent = True
                 kind, payload = self._recv_reply(handle, timeout)
                 if kind == "ok" and payload == _NEED_SNAPSHOT:
-                    handle.connection.send(("cloak", token, blob, tuple(chunk)))
+                    handle.connection.send(self._message(op, chunk, token, blob))
                     kind, payload = self._recv_reply(handle, timeout)
                 return kind, payload
             except _TRANSPORT_ERRORS:
@@ -1427,55 +1173,6 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         return self._fallback_reversal
 
-    def deanonymize_batch(
-        self, requests: Sequence[DeanonymizeRequestDoc]
-    ) -> List[ReversalOutcome]:
-        """Fan a reversal batch out across the worker shards.
-
-        This is the first parallel reversal path in the system: each shard
-        peels its contiguous chunk with its own engine (reversal is pure
-        CPU with no shared state, so on multi-core hardware the slowest
-        serving operation finally scales with workers). Requests cross the
-        pipes as :class:`~repro.lbs.wire.DeanonymizeRequestDoc` dicts —
-        key material rides inside them exactly as on the single-request
-        wire path — and results return as outcome documents, so recovered
-        regions are byte-identical to inline serving.
-        """
-        if not requests:
-            return []
-        self.spec  # raise the unbound error before spawning anything
-        chunk_docs = [request.to_dict() for request in requests]
-        with self._dispatch_lock:
-            replies = self._dispatch_peels(chunk_docs)
-        outcomes: List[ReversalOutcome] = []
-        failure: Optional[BaseException] = None
-        for request, reply in zip(requests, replies):
-            outcome_doc = OutcomeDoc.from_dict(reply)
-            if outcome_doc.ok:
-                outcomes.append(
-                    ReversalOutcome(request=request, result=outcome_doc.result)
-                )
-            else:
-                error = outcome_doc.to_exception()
-                if not isinstance(error, _REVERSAL_ERRORS):
-                    failure = failure or error
-                    continue
-                outcomes.append(ReversalOutcome(request=request, error=error))
-        if failure is not None:
-            raise failure
-        return outcomes
-
-    def _dispatch_peels(self, chunk_docs: List[dict]) -> List[dict]:
-        """Fan one reversal batch out to the workers; replies in order.
-
-        Dispatch lock held. Same supervision discipline as the cloaking
-        :meth:`_dispatch` — reported failures drain the remaining replies
-        before re-raising, transport failures respawn the slot and
-        re-drive only its chunk — minus the snapshot machinery, which
-        reversal does not need.
-        """
-        return self._drive("peel", self._chunk(chunk_docs))
-
     def _chunk(self, docs: List[dict]) -> List[List[dict]]:
         """Split the batch into one contiguous chunk per worker."""
         workers = min(self._max_workers, len(docs))
@@ -1504,18 +1201,8 @@ class ProcessPoolBackend(ExecutionBackend):
             except (OSError, ValueError):
                 pass
         for handle in self._workers:
-            process = handle.process
-            process.join(timeout=self._shutdown_join_s)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=self._shutdown_join_s)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=self._shutdown_join_s)
-            try:
-                handle.connection.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
+            handle.process.join(timeout=self._shutdown_join_s)
+            self._reap_worker(handle)
         self._workers.clear()
         self._snapshot_seen = None
         self._snapshot_blob = None

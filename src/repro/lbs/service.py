@@ -8,13 +8,23 @@ requesters.
 
 :class:`AnonymizerService` is that component, redesigned around two seams:
 
-* **the wire protocol** (:mod:`repro.lbs.wire`) — every entry point has a
-  transport-neutral twin: :meth:`handle` accepts a raw request document
-  and returns an outcome document, so an HTTP/gRPC/queue front-end needs
-  zero knowledge of domain objects;
+* **the wire protocol** (:mod:`repro.lbs.wire`) — :meth:`handle` accepts
+  a raw request document and returns an outcome document, and
+  :meth:`handle_batch` does the same for many independent documents at
+  once, so an HTTP/gRPC/queue front-end needs zero knowledge of domain
+  objects;
 * **the execution backend** (:mod:`repro.lbs.backends`) — where batch
-  cloaking work runs (inline, sharded process pool) is a constructor
-  choice, not a code path.
+  work runs (inline, sharded process pool) is a constructor choice, not
+  a code path. Only wire documents cross it.
+
+Every wire operation has one route. Cloak and reversal documents, alone or
+coalesced, go through one *lane* per operation: admission, one backend
+call with the raw documents, counters. The typed batch calls
+:meth:`cloak_batch` / :meth:`deanonymize_batch` are thin adapters over the
+same lanes (request objects to documents and outcome documents back). The
+typed single calls :meth:`cloak` / :meth:`cloak_segment` /
+:meth:`deanonymize` run on the service's own engine: they are the
+in-process library API and parse nothing.
 
 The service retains *no* per-request state — the defining advantage over
 the mapping-store baseline — apart from lock-guarded bookkeeping counters
@@ -25,11 +35,10 @@ tears a batch.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, get_args
 
 from ..core.algorithm import CloakingAlgorithm
 from ..core.engine import DeanonymizationResult, ReverseCloakEngine
@@ -53,10 +62,13 @@ from .backends import (
     InlineBackend,
     ReversalEngineCache,
     ReversalOutcome,
-    serve_request,
+    ReversalServingError,
+    ServingError,
+    user_segment_of,
 )
 from .faults import Deadline
 from .wire import (
+    BATCH_OUTCOME_FORMAT,
     CLOAK_REQUEST_FORMAT,
     DEANONYMIZE_BATCH_FORMAT,
     DEANONYMIZE_REQUEST_FORMAT,
@@ -65,7 +77,6 @@ from .wire import (
     STATS_FORMAT,
     STATS_REQUEST_FORMAT,
     WIRE_VERSION,
-    BatchOutcomeDoc,
     CloakRequest,
     CloakRequestDoc,
     DeanonymizeBatchDoc,
@@ -75,6 +86,36 @@ from .wire import (
 )
 
 __all__ = ["AnonymizerService"]
+
+#: The failures typed batch calls return in place (see
+#: :data:`~repro.lbs.backends.ServingError` and
+#: :data:`~repro.lbs.backends.ReversalServingError`).
+_SERVING_ERRORS = get_args(ServingError)
+_REVERSAL_ERRORS = get_args(ReversalServingError)
+
+
+def _typed_outcomes(outcome_type, payload: str, errors, requests, replies):
+    """Typed batch outcomes of outcome documents, one per request.
+
+    An error outcome becomes ``outcome_type(request, error=...)`` when its
+    exception is one of ``errors``; the first other error raises.
+    """
+    outcomes = []
+    for request, reply in zip(requests, replies):
+        outcome = OutcomeDoc.from_dict(reply)
+        if outcome.ok:
+            outcomes.append(outcome_type(request, getattr(outcome, payload)))
+            continue
+        error = outcome.to_exception()
+        if not isinstance(error, errors):
+            raise error
+        outcomes.append(outcome_type(request, error=error))
+    return outcomes
+
+
+def _error_class(outcome: dict) -> type:
+    """The exception class of an error outcome document's code."""
+    return error_class_for_code(str((outcome.get("error") or {}).get("code", "")))
 
 
 class AnonymizerService:
@@ -302,20 +343,22 @@ class AnonymizerService:
     def cloak(self, request: CloakRequest) -> CloakEnvelope:
         """Serve one anonymization request.
 
-        Looks up the user's current segment in the snapshot, expands per the
-        profile, and returns the envelope.
+        Looks up the user's current segment in the snapshot (unless the
+        request already carries it), expands per the profile, and returns
+        the envelope.
         """
         snapshot = self._require_snapshot()
         with self._admit(1):
-            try:
-                envelope = serve_request(
-                    self._engine, snapshot, request, self._include_hints
-                )
-            except CloakingError:
-                self._count(failures=1)
-                raise
-        self._count(served=1)
-        return envelope
+            user_segment = request.user_segment
+            if user_segment is None:
+                user_segment = user_segment_of(snapshot, request.user_id)
+            return self._anonymize(
+                snapshot,
+                user_segment,
+                request.profile,
+                request.chain,
+                request.deadline_ms,
+            )
 
     def cloak_segment(
         self,
@@ -325,24 +368,35 @@ class AnonymizerService:
         deadline_ms: Optional[float] = None,
     ) -> CloakEnvelope:
         """Cloak an explicit segment (bypasses the user lookup; used by
-        experiments that sweep positions directly, and by the wire path
-        for pre-resolved requests — which is why it honors an optional
-        cooperative ``deadline_ms``)."""
+        experiments that sweep positions directly) under an optional
+        cooperative ``deadline_ms``."""
         snapshot = self._require_snapshot()
-        deadline = Deadline.start(deadline_ms)
         with self._admit(1):
-            try:
-                envelope = self._engine.anonymize(
-                    user_segment,
-                    snapshot,
-                    profile,
-                    chain,
-                    include_hints=self._include_hints,
-                    checkpoint=deadline.check if deadline.active else None,
-                )
-            except CloakingError:
-                self._count(failures=1)
-                raise
+            return self._anonymize(
+                snapshot, user_segment, profile, chain, deadline_ms
+            )
+
+    def _anonymize(
+        self,
+        snapshot: PopulationSnapshot,
+        user_segment: int,
+        profile: PrivacyProfile,
+        chain: KeyChain,
+        deadline_ms: Optional[float],
+    ) -> CloakEnvelope:
+        deadline = Deadline.start(deadline_ms)
+        try:
+            envelope = self._engine.anonymize(
+                user_segment,
+                snapshot,
+                profile,
+                chain,
+                include_hints=self._include_hints,
+                checkpoint=deadline.check if deadline.active else None,
+            )
+        except CloakingError:
+            self._count(failures=1)
+            raise
         self._count(served=1)
         return envelope
 
@@ -357,20 +411,19 @@ class AnonymizerService:
         :class:`BatchOutcome` carrying that error instead of aborting the
         batch — any other exception propagates.
 
+        An adapter over the cloak lane that :meth:`handle_batch` serves:
+        the requests travel as wire documents, and the outcomes are read
+        back from outcome documents.
+
         Raises:
             MobilityError: No snapshot is installed.
         """
-        snapshot = self._require_snapshot()
-        if not requests:
-            return []
-        with self._admit(len(requests)):
-            outcomes = self._backend.cloak_batch(snapshot, requests)
-        served = sum(1 for outcome in outcomes if outcome.ok)
-        cloak_failures = sum(
-            1 for outcome in outcomes if isinstance(outcome.error, CloakingError)
+        replies = self._cloak_lane(
+            [CloakRequestDoc.from_request(request).to_dict() for request in requests]
         )
-        self._count(served=served, failures=cloak_failures)
-        return outcomes
+        return _typed_outcomes(
+            BatchOutcome, "envelope", _SERVING_ERRORS, requests, replies
+        )
 
     # ------------------------------------------------------------------
     # de-anonymization (server-side endpoint)
@@ -409,21 +462,18 @@ class AnonymizerService:
     ) -> List[ReversalOutcome]:
         """Serve a batch of reversal requests on the execution backend.
 
-        The batch twin of :meth:`deanonymize`, and the path that finally
-        puts the system's headline operation on the serving seam: outcomes
-        come back in request order, per-item failures (wrong keys,
-        collisions, foreign envelopes) ride in place as typed
+        The batch twin of :meth:`deanonymize`: outcomes come back in
+        request order, per-item failures (wrong keys, collisions, foreign
+        envelopes) ride in place as typed
         :class:`~repro.lbs.backends.ReversalOutcome` errors, and the
         results are byte-identical whichever backend the service was
-        configured with — the process pool peels shards in parallel.
+        configured with — the process pool peels shards in parallel. An
+        adapter over the reversal lane, like :meth:`cloak_batch`.
         """
-        if not requests:
-            return []
-        with self._admit(len(requests)):
-            outcomes = self._backend.deanonymize_batch(requests)
-        served = sum(1 for outcome in outcomes if outcome.ok)
-        self._count(reversals=served, reversal_failures=len(outcomes) - served)
-        return outcomes
+        replies = self._peel_lane([request.to_dict() for request in requests])
+        return _typed_outcomes(
+            ReversalOutcome, "result", _REVERSAL_ERRORS, requests, replies
+        )
 
     def _reversal_engine(self, envelope: CloakEnvelope) -> ReverseCloakEngine:
         return self._reversal_engines.engine_for(envelope)
@@ -434,67 +484,44 @@ class AnonymizerService:
     def handle(self, document: dict) -> dict:
         """Serve one raw wire document and return an outcome document.
 
-        Dispatches on the document's ``format`` tag
-        (:data:`~repro.lbs.wire.CLOAK_REQUEST_FORMAT` /
-        :data:`~repro.lbs.wire.DEANONYMIZE_REQUEST_FORMAT` /
-        :data:`~repro.lbs.wire.DEANONYMIZE_BATCH_FORMAT` — batch requests
-        answer with a :class:`~repro.lbs.wire.BatchOutcomeDoc`, per-item
-        errors in place). Every
-        :class:`~repro.errors.ReverseCloakError` — including malformed
-        documents, shed load (``overloaded``) and expired deadlines
-        (``deadline_exceeded``) — comes back as a structured error
-        outcome; only genuinely unexpected exceptions propagate. This is
-        the single method a transport adapter needs.
+        Dispatches on the document's ``format`` tag. A single cloak
+        (:data:`~repro.lbs.wire.CLOAK_REQUEST_FORMAT`) or reversal
+        (:data:`~repro.lbs.wire.DEANONYMIZE_REQUEST_FORMAT`) document is
+        served as a batch of one through :meth:`handle_batch`, so it takes
+        the same route alone as coalesced. A reversal batch
+        (:data:`~repro.lbs.wire.DEANONYMIZE_BATCH_FORMAT`) is validated as
+        a whole and its items go through the same reversal lane; it
+        answers with a :class:`~repro.lbs.wire.BatchOutcomeDoc`, per-item
+        errors in place. Its ``deadline_ms`` is the default cooperative
+        deadline of every item that does not carry its own.
 
-        A batch document's ``deadline_ms`` is applied as the default
-        cooperative deadline of every item that does not carry its own.
+        Every :class:`~repro.errors.ReverseCloakError` — including
+        malformed documents, shed load (``overloaded``) and expired
+        deadlines (``deadline_exceeded``) — comes back as a structured
+        error outcome; only genuinely unexpected exceptions propagate.
+        This is the single method a transport adapter needs.
         """
+        kind = document.get("format") if isinstance(document, dict) else None
+        if kind == CLOAK_REQUEST_FORMAT or kind == DEANONYMIZE_REQUEST_FORMAT:
+            return self.handle_batch([document])[0]
         try:
-            kind = document.get("format") if isinstance(document, dict) else None
-            if kind == CLOAK_REQUEST_FORMAT:
-                request_doc = CloakRequestDoc.from_dict(document)
-                if request_doc.user_segment is not None:
-                    envelope = self.cloak_segment(
-                        request_doc.user_segment,
-                        request_doc.profile,
-                        request_doc.chain,
-                        deadline_ms=request_doc.deadline_ms,
-                    )
-                else:
-                    envelope = self.cloak(request_doc.to_request())
-                return OutcomeDoc.from_envelope(envelope).to_dict()
-            if kind == DEANONYMIZE_REQUEST_FORMAT:
-                reversal_doc = DeanonymizeRequestDoc.from_dict(document)
-                result = self.deanonymize(
-                    reversal_doc.envelope,
-                    reversal_doc.key_map(),
-                    reversal_doc.target_level,
-                    mode=reversal_doc.mode,
-                )
-                return OutcomeDoc.from_result(result).to_dict()
             if kind == DEANONYMIZE_BATCH_FORMAT:
-                batch_doc = DeanonymizeBatchDoc.from_dict(document)
-                items = batch_doc.items
-                if batch_doc.deadline_ms is not None:
+                default_ms = DeanonymizeBatchDoc.from_dict(document).deadline_ms
+                items = document["items"]
+                if default_ms is not None:
                     # The batch-level deadline is a default, not a cap:
                     # items carrying their own deadline keep it.
-                    items = tuple(
+                    items = [
                         item
-                        if item.deadline_ms is not None
-                        else dataclasses.replace(
-                            item, deadline_ms=batch_doc.deadline_ms
-                        )
+                        if item.get("deadline_ms") is not None
+                        else dict(item, deadline_ms=default_ms)
                         for item in items
-                    )
-                outcomes = self.deanonymize_batch(items)
-                return BatchOutcomeDoc(
-                    outcomes=tuple(
-                        OutcomeDoc.from_result(outcome.result)
-                        if outcome.ok
-                        else OutcomeDoc.from_exception(outcome.error)
-                        for outcome in outcomes
-                    )
-                ).to_dict()
+                    ]
+                return {
+                    "format": BATCH_OUTCOME_FORMAT,
+                    "version": WIRE_VERSION,
+                    "outcomes": self._peel_lane(items),
+                }
             if kind == STATS_REQUEST_FORMAT:
                 version = document.get("version")
                 if version != WIRE_VERSION:
@@ -558,98 +585,116 @@ class AnonymizerService:
         front-ends that accumulate compatible requests
         (:mod:`repro.lbs.frontend`): one outcome document per input
         document, positionally, each answering exactly what :meth:`handle`
-        would have answered for that document alone — but single cloak and
-        single reversal documents are grouped into one
-        ``cloak_batch_raw`` / ``deanonymize_batch_raw`` backend call
-        each, so a process-pool backend pays its dispatch overhead once
-        per coalesced batch instead of once per request — and ships the
-        raw documents, deferring validation to wherever the backend
-        parses anyway. Every other format (reversal batches, stats,
-        unknown) is served individually through :meth:`handle`.
+        answers for that document alone. Cloak documents form one lane
+        and reversal documents another; each lane is one
+        ``cloak_batch_raw`` / ``deanonymize_batch_raw`` backend call with
+        the raw documents, so a process-pool backend pays its dispatch
+        overhead once per lane and each document is parsed where it is
+        served. Every other format (reversal batches, stats, unknown) is
+        served individually through :meth:`handle`.
 
-        Admission control is per coalesced group, all-or-nothing like any
-        batch; a shed group answers structured ``overloaded`` outcomes in
-        place. Parse failures, unknown users and serving failures all ride
-        in place too — this method never raises for a bad document.
+        Admission control is per lane, all-or-nothing like any batch.
+        When a lane fails as a whole (no snapshot, or shed), each document
+        in it that does not parse answers ``malformed_document``, as it
+        would alone, and is not counted as shed; the rest answer the
+        lane's error. Parse failures, unknown users and serving failures
+        all ride in place too: this method never raises for a bad
+        document.
         """
         results: List[Optional[dict]] = [None] * len(documents)
-        cloak_lane: List[Tuple[int, dict]] = []
-        peel_lane: List[Tuple[int, dict]] = []
+        cloak_lane: List[int] = []
+        peel_lane: List[int] = []
         for position, document in enumerate(documents):
             kind = document.get("format") if isinstance(document, dict) else None
             if kind == CLOAK_REQUEST_FORMAT:
-                cloak_lane.append((position, document))
+                cloak_lane.append(position)
             elif kind == DEANONYMIZE_REQUEST_FORMAT:
-                peel_lane.append((position, document))
+                peel_lane.append(position)
             else:
                 results[position] = self.handle(document)
-        if cloak_lane:
-            self._serve_cloak_lane(cloak_lane, results)
-        if peel_lane:
-            self._serve_peel_lane(peel_lane, results)
+        for positions, serve, parse in (
+            (cloak_lane, self._cloak_lane, CloakRequestDoc.from_dict),
+            (peel_lane, self._peel_lane, DeanonymizeRequestDoc.from_dict),
+        ):
+            if not positions:
+                continue
+            lane = [documents[position] for position in positions]
+            try:
+                replies = serve(lane)
+            except ReverseCloakError as exc:
+                replies = self._lane_failure(lane, exc, parse)
+            for position, reply in zip(positions, replies):
+                results[position] = reply
         return results  # type: ignore[return-value]
 
-    def _serve_cloak_lane(
+    def _lane_failure(
         self,
-        lane: List[Tuple[int, dict]],
-        results: List[Optional[dict]],
-    ) -> None:
-        """One coalesced cloak group through the backend's raw-document
-        path, outcomes written back positionally; counter bookkeeping
-        matches :meth:`cloak_batch` (only cloaking errors count as
-        failures — a malformed or unknown-user document counts as
-        neither, exactly like :meth:`handle`)."""
-        docs = [document for _, document in lane]
-        try:
-            snapshot = self._require_snapshot()
-            with self._admit(len(docs)):
-                outcome_docs = self._backend.cloak_batch_raw(snapshot, docs)
-        except ReverseCloakError as exc:
-            outcome = OutcomeDoc.from_exception(exc).to_dict()
-            for position, _ in lane:
-                results[position] = dict(outcome)
-            return
-        served = 0
-        failures = 0
-        for (position, _), outcome in zip(lane, outcome_docs):
-            results[position] = outcome
-            if outcome.get("status") == "ok":
-                served += 1
+        lane: List[dict],
+        exc: ReverseCloakError,
+        parse: Callable[[dict], object],
+    ) -> List[dict]:
+        """The answers of a lane that failed as a whole: a document that
+        does not parse answers as malformed (and, if the lane was shed, is
+        taken back out of :attr:`requests_shed`); the rest answer
+        ``exc``. Parsing happens only here, off the serving path."""
+        failure = OutcomeDoc.from_exception(exc).to_dict()
+        replies = []
+        malformed = 0
+        for document in lane:
+            try:
+                parse(document)
+            except WireFormatError as bad:
+                replies.append(OutcomeDoc.from_exception(bad).to_dict())
+                malformed += 1
             else:
-                code = str((outcome.get("error") or {}).get("code", ""))
-                if issubclass(error_class_for_code(code), CloakingError):
-                    failures += 1
-        self._count(served=served, failures=failures)
+                replies.append(dict(failure))
+        if malformed and isinstance(exc, OverloadedError):
+            with self._counter_lock:
+                self._requests_shed -= malformed
+        return replies
 
-    def _serve_peel_lane(
-        self,
-        lane: List[Tuple[int, dict]],
-        results: List[Optional[dict]],
-    ) -> None:
-        """One coalesced reversal group through the backend's raw-document
-        path; counter bookkeeping matches :meth:`deanonymize_batch`,
-        except that malformed documents — which :meth:`handle` rejects
-        before ever counting — stay uncounted here too."""
-        docs = [document for _, document in lane]
-        try:
-            with self._admit(len(docs)):
-                outcome_docs = self._backend.deanonymize_batch_raw(docs)
-        except ReverseCloakError as exc:
-            outcome = OutcomeDoc.from_exception(exc).to_dict()
-            for position, _ in lane:
-                results[position] = dict(outcome)
-            return
-        served = 0
-        reversal_failures = 0
-        for (position, _), outcome in zip(lane, outcome_docs):
-            results[position] = outcome
-            if outcome.get("status") == "ok":
+    def _cloak_lane(self, documents: List[dict]) -> List[dict]:
+        """Serve raw cloak documents through the backend against the
+        current snapshot, admitted as one unit; outcome documents in
+        order. Counts every success as served and every cloaking error as
+        a failure; a malformed or unknown-user document counts as
+        neither.
+
+        Raises:
+            MobilityError: No snapshot is installed.
+            OverloadedError: The lane was shed.
+        """
+        snapshot = self._require_snapshot()
+        with self._admit(len(documents)):
+            replies = self._backend.cloak_batch_raw(snapshot, documents)
+        served = failures = 0
+        for reply in replies:
+            if reply.get("status") == "ok":
                 served += 1
-            else:
-                code = str((outcome.get("error") or {}).get("code", ""))
-                if not issubclass(error_class_for_code(code), WireFormatError):
-                    reversal_failures += 1
-        self._count(reversals=served, reversal_failures=reversal_failures)
+            elif issubclass(_error_class(reply), CloakingError):
+                failures += 1
+        self._count(served=served, failures=failures)
+        return replies
+
+    def _peel_lane(self, documents: List[dict]) -> List[dict]:
+        """Serve raw reversal documents through the backend, admitted as
+        one unit; outcome documents in order. Counts every success as a
+        reversal served and every other error as a reversal failure,
+        except malformed documents, which count as neither.
+
+        Raises:
+            OverloadedError: The lane was shed.
+        """
+        with self._admit(len(documents)):
+            replies = self._backend.deanonymize_batch_raw(documents)
+        served = failures = 0
+        for reply in replies:
+            if reply.get("status") == "ok":
+                served += 1
+            elif not issubclass(_error_class(reply), WireFormatError):
+                failures += 1
+        self._count(reversals=served, reversal_failures=failures)
+        return replies
 
     # ------------------------------------------------------------------
     # internals

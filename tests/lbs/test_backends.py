@@ -40,7 +40,7 @@ from repro.lbs import (
     InlineBackend,
     ProcessPoolBackend,
 )
-from repro.lbs.wire import DeanonymizeRequestDoc, OutcomeDoc
+from repro.lbs.wire import CloakRequestDoc, DeanonymizeRequestDoc, OutcomeDoc
 
 START_METHODS = tuple(
     method.strip()
@@ -501,11 +501,13 @@ class TestBackendLifecycle:
     def test_unbound_backend_rejects_serving(
         self, dense_snapshot, batch_profile, make_backend
     ):
+        request = _requests(dense_snapshot, batch_profile, 1)[0]
+        document = CloakRequestDoc.from_request(request).to_dict()
         with make_backend() as backend:
             with pytest.raises(CloakingError):
-                backend.cloak_batch(
-                    dense_snapshot, _requests(dense_snapshot, batch_profile, 1)
-                )
+                backend.cloak_batch_raw(dense_snapshot, [document])
+            with pytest.raises(CloakingError):
+                backend.deanonymize_batch_raw([{"format": "x"}])
 
     def test_invalid_widths_rejected(self):
         with pytest.raises(CloakingError):
@@ -553,3 +555,85 @@ class TestInlineChunkCounter:
 
         assert len(drawn) == 8 * 200
         assert sorted(drawn) == list(range(8 * 200))
+
+
+class TestSingleServingPath:
+    """Each operation has one per-item serving function behind the two raw
+    methods: a served document is parsed exactly once, where it is
+    served, and the pool's parent parses nothing on the fast path."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        counts = {"cloak": 0, "peel": 0}
+        for name, cls in (("cloak", CloakRequestDoc), ("peel", DeanonymizeRequestDoc)):
+            original = cls.__dict__["from_dict"].__func__
+
+            def counted(klass, document, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(klass, document)
+
+            monkeypatch.setattr(cls, "from_dict", classmethod(counted))
+        return counts
+
+    def _documents(self, grid10, snapshot, profile):
+        cloaks = [
+            CloakRequestDoc.from_request(request).to_dict()
+            for request in _requests(snapshot, profile, 4, tag="once")
+        ]
+        peels = [
+            request.to_dict()
+            for request in _reversal_fixture(grid10, snapshot, profile, 3)
+        ]
+        return cloaks, peels
+
+    def test_inline_parses_each_served_document_once(
+        self, grid10, traffic_snapshot, batch_profile, parses
+    ):
+        cloaks, peels = self._documents(grid10, traffic_snapshot, batch_profile)
+        with InlineBackend() as backend:
+            AnonymizerService(grid10, backend=backend)
+            parses.update(cloak=0, peel=0)
+            replies = backend.cloak_batch_raw(traffic_snapshot, cloaks)
+            replies += backend.deanonymize_batch_raw(peels)
+        assert all(reply["status"] == "ok" for reply in replies)
+        assert parses == {"cloak": len(cloaks), "peel": len(peels)}
+
+    def test_pool_fast_path_parses_nothing_in_the_parent(
+        self, grid10, traffic_snapshot, batch_profile, parses
+    ):
+        cloaks, peels = self._documents(grid10, traffic_snapshot, batch_profile)
+        with ProcessPoolBackend(2, start_method=START_METHODS[0]) as backend:
+            AnonymizerService(grid10, backend=backend)
+            parses.update(cloak=0, peel=0)
+            replies = backend.cloak_batch_raw(traffic_snapshot, cloaks)
+            replies += backend.deanonymize_batch_raw(peels)
+        assert all(reply["status"] == "ok" for reply in replies)
+        assert parses == {"cloak": 0, "peel": 0}
+
+    def test_pool_ships_a_mixed_batch_in_one_dispatch(
+        self, grid10, traffic_snapshot, batch_profile
+    ):
+        # Literal-int ids take the fast path; a string id that parses is
+        # resolved after a parent-side parse. Both ship together.
+        cloaks = [
+            CloakRequestDoc.from_request(request).to_dict()
+            for request in _requests(traffic_snapshot, batch_profile, 4, tag="mx")
+        ]
+        cloaks[1] = dict(cloaks[1], user_id=str(cloaks[1]["user_id"]))
+        reference = AnonymizerService(grid10)
+        reference.update_snapshot(traffic_snapshot)
+        expected = reference.handle_batch(cloaks)
+        with ProcessPoolBackend(2, start_method=START_METHODS[0]) as backend:
+            AnonymizerService(grid10, backend=backend)
+            drives = []
+            original = backend._drive
+
+            def counted(op, chunks, **kwargs):
+                drives.append(op)
+                return original(op, chunks, **kwargs)
+
+            backend._drive = counted
+            replies = backend.cloak_batch_raw(traffic_snapshot, cloaks)
+        assert drives == ["cloak"]
+        assert replies == expected
+        assert all(reply["status"] == "ok" for reply in replies)

@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro import KeyChain, PrivacyProfile
-from repro.errors import DeadlineExceededError, WorkerCrashedError
+from repro.errors import DeadlineExceededError, MobilityError, WorkerCrashedError
 from repro.lbs import (
     AnonymizerService,
     CloakRequest,
@@ -382,7 +382,11 @@ class TestCooperativeDeadlines:
         # exactly item 0 of chunk 0 (worker 0) expires, deterministically,
         # with no real sleeping; its siblings serve normally. The same plan
         # drives the inline backend (which presents as worker 0, chunk ==
-        # batch ordinal) and worker 0 of the process pool.
+        # batch ordinal) and worker 0 of the process pool. Items count the
+        # documents that ship: the unknown user up front is answered
+        # before serving, so item 0 is the request at position 1.
+        import dataclasses
+
         plan = FaultPlan(
             actions=(
                 FaultAction(
@@ -394,6 +398,7 @@ class TestCooperativeDeadlines:
         requests = _cloak_requests(
             traffic_snapshot, ft_profile, 4, tag="dly", deadline_ms=60_000.0
         )
+        requests.insert(0, dataclasses.replace(requests[0], user_id=10_000))
         if flavor == "inline":
             backend = InlineBackend(fault_plan=plan)
         else:
@@ -404,8 +409,9 @@ class TestCooperativeDeadlines:
             service = AnonymizerService(grid10, backend=backend)
             service.update_snapshot(traffic_snapshot)
             outcomes = service.cloak_batch(requests)
-            assert [o.ok for o in outcomes] == [False, True, True, True]
-            assert isinstance(outcomes[0].error, DeadlineExceededError)
+            assert [o.ok for o in outcomes] == [False, False, True, True, True]
+            assert isinstance(outcomes[0].error, MobilityError)
+            assert isinstance(outcomes[1].error, DeadlineExceededError)
 
     def test_mixed_deadlines_only_expire_the_marked_items(
         self, grid10, traffic_snapshot, ft_profile

@@ -275,6 +275,12 @@ class TestResilientClient:
         shed, nothing ran); the retry serves normally."""
         service = AnonymizerService(grid10)
         service.update_snapshot(traffic_snapshot)
+        document = _cloak_doc(traffic_snapshot, profile, 0)
+        # Before the patch: handle() itself serves through handle_batch.
+        expected = json.dumps(
+            json.loads(service.handle_json(json.dumps(document))),
+            sort_keys=True,
+        )
         original = service.handle_batch
         calls = {"count": 0}
 
@@ -285,11 +291,6 @@ class TestResilientClient:
             return original(documents)
 
         service.handle_batch = flaky
-        document = _cloak_doc(traffic_snapshot, profile, 0)
-        expected = json.dumps(
-            json.loads(service.handle_json(json.dumps(document))),
-            sort_keys=True,
-        )
 
         async def main():
             async with FrontendServer(service, batch_window_ms=1.0) as server:

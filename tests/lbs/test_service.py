@@ -19,6 +19,7 @@ from repro.errors import (
     MobilityError,
     OverloadedError,
     ProfileError,
+    ReverseCloakError,
     ToleranceExceededError,
 )
 from repro.lbs import (
@@ -32,6 +33,8 @@ from repro.lbs import (
     ReversalEngineCache,
 )
 from repro.lbs.wire import (
+    CLOAK_REQUEST_FORMAT,
+    DEANONYMIZE_REQUEST_FORMAT,
     MALFORMED_DOCUMENT,
     STATS_FORMAT,
     STATS_REQUEST_FORMAT,
@@ -51,6 +54,40 @@ def service(grid10, traffic_snapshot):
     service = AnonymizerService(grid10)
     service.update_snapshot(traffic_snapshot)
     return service
+
+
+def _handle_reference(service, document):
+    """The answer to one wire document, served without the lanes.
+
+    The parity oracle of ``handle_batch``: parse the document, then call
+    the service's typed single calls (``cloak_segment`` for a resolved
+    segment, ``cloak`` otherwise, ``deanonymize`` for a peel) and turn the
+    result or the typed error into an outcome document. Every other
+    format goes to ``service.handle``.
+    """
+    kind = document.get("format") if isinstance(document, dict) else None
+    try:
+        if kind == CLOAK_REQUEST_FORMAT:
+            doc = CloakRequestDoc.from_dict(document)
+            if doc.user_segment is not None:
+                envelope = service.cloak_segment(
+                    doc.user_segment,
+                    doc.profile,
+                    doc.chain,
+                    deadline_ms=doc.deadline_ms,
+                )
+            else:
+                envelope = service.cloak(doc.to_request())
+            return OutcomeDoc.from_envelope(envelope).to_dict()
+        if kind == DEANONYMIZE_REQUEST_FORMAT:
+            doc = DeanonymizeRequestDoc.from_dict(document)
+            result = service.deanonymize(
+                doc.envelope, doc.key_map(), doc.target_level, mode=doc.mode
+            )
+            return OutcomeDoc.from_result(result).to_dict()
+    except ReverseCloakError as exc:
+        return OutcomeDoc.from_exception(exc).to_dict()
+    return service.handle(document)
 
 
 def _request(snapshot, profile, index=0, tag="svc"):
@@ -564,10 +601,17 @@ class TestServiceDeadlines:
         request = _request(traffic_snapshot, profile, tag="hd")
         document = CloakRequestDoc.from_request(request).to_dict()
         document["deadline_ms"] = 0.0
-        outcome = OutcomeDoc.from_dict(service.handle(document))
-        assert not outcome.ok
-        assert outcome.error_code == "deadline_exceeded"
-        assert isinstance(outcome.to_exception(), DeadlineExceededError)
+        peel = DeanonymizeRequestDoc(
+            envelope=service.cloak(request),
+            keys=tuple(request.chain),
+            target_level=0,
+            deadline_ms=0.0,
+        ).to_dict()
+        for sent in (document, peel):
+            outcome = OutcomeDoc.from_dict(service.handle(sent))
+            assert not outcome.ok
+            assert outcome.error_code == "deadline_exceeded"
+            assert isinstance(outcome.to_exception(), DeadlineExceededError)
 
     def test_batch_deadline_is_a_default_not_a_cap(
         self, service, traffic_snapshot, profile
@@ -726,7 +770,7 @@ class TestHandleBatch:
             dict(documents[0], user_id=10_000)
         )  # unknown user fails in place
         expected = [
-            json.dumps(reference.handle(doc), sort_keys=True)
+            json.dumps(_handle_reference(reference, doc), sort_keys=True)
             for doc in documents
         ]
         outcomes = batched.handle_batch(documents)
@@ -740,15 +784,18 @@ class TestHandleBatch:
     def test_empty_batch(self, service):
         assert service.handle_batch([]) == []
 
+    @pytest.mark.parametrize("installed", [True, False], ids=["snapshot", "none"])
     @pytest.mark.parametrize("backend_kind", ["inline", "process"])
     def test_malformed_items_answer_in_place(
-        self, grid10, traffic_snapshot, profile, backend_kind
+        self, grid10, traffic_snapshot, profile, backend_kind, installed
     ):
         """A malformed cloak or peel document inside a coalesced batch
-        answers as malformed — never demoted to unknown-user — and counts
-        nothing, byte-identical to ``handle`` serving it alone. Runs on
-        both the inline backend (parent-side parse) and the process pool
-        (the raw fast path defers parsing to the worker shards)."""
+        answers as malformed — never demoted to unknown-user, nor to the
+        lane-wide ``mobility_unavailable`` of a service without a
+        snapshot — and counts nothing, byte-identical to the document
+        served alone through the typed single calls. Runs on both the
+        inline backend and the process pool (whose fast path defers
+        parsing to the worker shards)."""
         producer = AnonymizerService(grid10)
         producer.update_snapshot(traffic_snapshot)
         peel_request = _request(traffic_snapshot, profile, index=5, tag="hbm")
@@ -771,16 +818,25 @@ class TestHandleBatch:
             good_peel,
             dict(good_peel, keys="not-a-list"),
             dict(good_cloak, user_id=10_000),  # unknown user, in place
+            # A string id that parses to a known user: valid, but off the
+            # literal-int fast path, so resolved after a parent-side parse.
+            dict(good_cloak, user_id=str(good_cloak["user_id"])),
+            # Deadlines the pool reads before anything parses them: a
+            # numeric string (valid, coerced by the parser) and junk.
+            dict(good_peel, deadline_ms="60000"),
+            dict(good_peel, deadline_ms="soon"),
         ]
         reference = AnonymizerService(grid10)
-        reference.update_snapshot(traffic_snapshot)
+        if installed:
+            reference.update_snapshot(traffic_snapshot)
         expected = [
-            json.dumps(reference.handle(doc), sort_keys=True)
+            json.dumps(_handle_reference(reference, doc), sort_keys=True)
             for doc in documents
         ]
 
         def run(batched):
-            batched.update_snapshot(traffic_snapshot)
+            if installed:
+                batched.update_snapshot(traffic_snapshot)
             outcomes = batched.handle_batch(documents)
             assert [
                 json.dumps(outcome, sort_keys=True) for outcome in outcomes
@@ -812,8 +868,23 @@ class TestHandleBatch:
             ).to_dict()
             for i in range(3)
         ]
+        # Documents that do not parse answer as malformed, as they would
+        # alone, and are not counted as shed.
+        bad = {"format": CLOAK_REQUEST_FORMAT, "version": 1, "user_id": "x"}
+        documents[1:1] = [bad, bad]
         outcomes = service.handle_batch(documents)
-        assert len(outcomes) == 3
-        codes = {outcome["error"]["code"] for outcome in outcomes}
-        assert codes == {"overloaded"}
+        assert len(outcomes) == 5
+        codes = [outcome["error"]["code"] for outcome in outcomes]
+        assert codes == [
+            "overloaded",
+            MALFORMED_DOCUMENT,
+            MALFORMED_DOCUMENT,
+            "overloaded",
+            "overloaded",
+        ]
+        assert service.requests_shed == 3
+        # A lane of nothing but malformed documents sheds nothing.
+        assert [
+            outcome["error"]["code"] for outcome in service.handle_batch([bad, bad])
+        ] == [MALFORMED_DOCUMENT] * 2
         assert service.requests_shed == 3

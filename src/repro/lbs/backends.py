@@ -24,11 +24,11 @@ methods, both defined on :class:`ExecutionBackend` itself:
 
 Both answer one :class:`~repro.lbs.wire.OutcomeDoc` dict per document, in
 order. Per-item failures ride in place as structured error documents:
-malformed documents, unknown users, the typed cloaking failures
-(:class:`~repro.errors.CloakingError`) and the typed reversal failures
-(:data:`ReversalServingError`). Anything else — an engine bug, an
-infrastructure failure — propagates to the caller instead of being
-swallowed into outcomes.
+malformed documents, unknown users, user segments not on the map, the
+typed cloaking failures (:class:`~repro.errors.CloakingError`) and the
+typed reversal failures (:data:`ReversalServingError`). Anything else — an
+engine bug, an infrastructure failure — propagates to the caller instead
+of being swallowed into outcomes.
 
 Each operation has one per-item serving function, :func:`_serve_chunk_docs`
 and :func:`_peel_chunk_docs`. :class:`InlineBackend` runs it in process,
@@ -76,6 +76,7 @@ from ..errors import (
     MobilityError,
     ProfileError,
     ReverseCloakError,
+    RoadNetworkError,
     WireFormatError,
     WorkerCrashedError,
 )
@@ -318,7 +319,10 @@ def _serve_chunk_docs(
     workers and the pool's inline degradation all run it. Each document
     is parsed here (a malformed one answers in place), runs under its own
     cooperative deadline, and expected serving failures — deadline expiry
-    included — become error outcome documents in place. Anything else
+    included — become error outcome documents in place. So does a
+    pre-resolved ``user_segment`` the map does not have
+    (:class:`~repro.errors.RoadNetworkError`): it answers what it would
+    alone, and its neighbours in the chunk are still served. Anything else
     propagates.
     """
     outcomes = []
@@ -340,7 +344,7 @@ def _serve_chunk_docs(
                 include_hints=include_hints,
                 checkpoint=deadline.check if deadline.active else None,
             )
-        except CloakingError as exc:
+        except (CloakingError, RoadNetworkError) as exc:
             outcomes.append(OutcomeDoc.from_exception(exc).to_dict())
         else:
             outcomes.append(OutcomeDoc.from_envelope(envelope).to_dict())

@@ -11,7 +11,11 @@ redistributable, so this module provides deterministic synthetic substitutes
 * :func:`random_delaunay_network` — irregular planar networks built from a
   seeded random point set and its Delaunay triangulation, pruned to a target
   segment count while staying connected. Degree and length statistics are in
-  the same regime as the USGS map.
+  the same regime as the USGS map. Points and triangulation come from
+  :mod:`repro.roadnet.pointset`, in pure Python: the points are
+  bit-identical to numpy's ``default_rng(seed)`` draws and the edges are
+  their exact Delaunay triangulation, so no numerical library is imported
+  to build one.
 * :func:`atlanta_like` — :func:`random_delaunay_network` invoked with the
   paper's published constants (6,979 junctions / 9,187 segments).
 * :func:`fig1_network`, :func:`fig2_network`, :func:`fig3_network` — small
@@ -142,17 +146,21 @@ def random_delaunay_network(
     """An irregular planar road network from a seeded random point set.
 
     Construction: draw ``n_junctions`` uniform points in an ``extent`` x
-    ``extent`` square, triangulate them (Delaunay), then keep a minimum
-    spanning tree (guaranteeing connectivity) plus the shortest remaining
-    Delaunay edges until ``target_segments`` segments exist. Short edges are
-    preferred because real road segments connect nearby intersections.
+    ``extent`` square (the doubles ``numpy.random.default_rng(seed)`` would
+    draw, computed by :func:`~repro.roadnet.pointset.uniform_points`),
+    triangulate them (Delaunay, :func:`~repro.roadnet.pointset.delaunay_edges`),
+    then keep a minimum spanning tree (guaranteeing connectivity) plus the
+    shortest remaining Delaunay edges until ``target_segments`` segments
+    exist. Short edges are preferred because real road segments connect
+    nearby intersections.
 
     Args:
         n_junctions: Number of junctions (>= 3 for a triangulation).
         target_segments: Desired segment count; must be at least
             ``n_junctions - 1`` (the spanning tree) and at most the number of
             Delaunay edges.
-        seed: RNG seed; the network is a pure function of all arguments.
+        seed: Non-negative RNG seed; the network is a pure function of all
+            arguments.
         extent: Side of the square map region in metres.
         name: Optional network name.
     """
@@ -163,21 +171,12 @@ def random_delaunay_network(
             f"target_segments={target_segments} cannot connect "
             f"{n_junctions} junctions (need >= {n_junctions - 1})"
         )
-    # Local imports: scipy serves this generator alone and numpy only the
-    # seeded generators, so a process whose maps never triangulate (grids,
-    # fixtures, wire documents) loads neither.
-    import numpy as np
-    from scipy.spatial import Delaunay
+    # Local import: a process whose maps never triangulate (grids,
+    # fixtures, wire documents) does not compile the triangulator.
+    from .pointset import delaunay_edges, uniform_points
 
-    drawn = np.random.default_rng(seed).uniform(0.0, extent, size=(n_junctions, 2))
-    simplices = Delaunay(drawn).simplices.tolist()
-    points = drawn.tolist()
-
-    edges = set()
-    for a, b, c in simplices:
-        edges.add((a, b) if a < b else (b, a))
-        edges.add((b, c) if b < c else (c, b))
-        edges.add((a, c) if a < c else (c, a))
+    points = uniform_points(seed, n_junctions, extent)
+    edges = delaunay_edges(points)
     if target_segments > len(edges):
         raise RoadNetworkError(
             f"target_segments={target_segments} exceeds the {len(edges)} "

@@ -12,6 +12,7 @@ default ``fork``) — CI runs a ``spawn`` entry so macOS/Windows semantics
 are covered without paying spawn start-up on every local run.
 """
 
+import json
 import os
 
 import pytest
@@ -150,6 +151,30 @@ class TestBackendEquivalence:
                 assert outcome.error is None or isinstance(
                     outcome.error, (CloakingError, MobilityError)
                 )
+
+    @pytest.mark.parametrize("make_backend", _backends())
+    def test_off_map_segment_does_not_poison_its_lane(
+        self, grid10, traffic_snapshot, batch_profile, make_backend
+    ):
+        # A pre-resolved segment the map does not have fails that document
+        # alone; its coalesced neighbours are served as if it were absent.
+        first, last = [
+            CloakRequestDoc.from_request(request).to_dict()
+            for request in _requests(traffic_snapshot, batch_profile, 2)
+        ]
+        off_map = dict(first, user_segment=10_000)
+        lane = [first, off_map, last]
+        with make_backend() as backend:
+            service = AnonymizerService(grid10, backend=backend)
+            service.update_snapshot(traffic_snapshot)
+            alone = [json.dumps(service.handle(doc), sort_keys=True) for doc in lane]
+            together = service.handle_batch(lane)
+            assert [json.dumps(reply, sort_keys=True) for reply in together] == alone
+            assert [reply["status"] for reply in together] == ["ok", "error", "ok"]
+            assert together[1]["error"]["code"] == "road_network_error"
+            raw = backend.cloak_batch_raw(traffic_snapshot, lane)
+            assert [json.dumps(reply, sort_keys=True) for reply in raw] == alone
+            service.close()
 
 
 def _reversal_fixture(network, snapshot, profile, count, tag="peel"):

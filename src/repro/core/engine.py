@@ -439,7 +439,7 @@ class ReverseCloakEngine:
             if mode != "search" and record.sealed_start is not None:
                 expected_start = unseal_anchor(key, record.sealed_start, "start")
             accept = (
-                self._hint_acceptor(expected_start, expected_digest)
+                self._hint_acceptor(expected_start)
                 if expected_start is not None
                 else None
             )
@@ -460,6 +460,7 @@ class ReverseCloakEngine:
                 accept=accept,
                 witness_filter=witness_filter,
                 draws=draws,
+                inner_digest=expected_digest,
             )
             if accept is not None:
                 if not outcomes:
@@ -470,7 +471,7 @@ class ReverseCloakEngine:
                 outcome = outcomes[0]
                 chained_anchors = (outcome.start_anchor,)
             else:
-                outcome = self._select_outcome(outcomes, level, expected_digest)
+                outcome = self._select_outcome(outcomes, level)
                 chained_anchors = tuple(
                     sorted(
                         {
@@ -607,48 +608,32 @@ class ReverseCloakEngine:
         return matches
 
     @staticmethod
-    def _hint_acceptor(expected_start: int, expected_digest: Optional[str]):
+    def _hint_acceptor(expected_start: int):
         """The outcome predicate of hint-mode reversal.
 
-        The sealed start anchor pins the chain's origin, and the level
-        below's public region digest pins the inner region (for level-1
-        peels the inner region is exactly the start anchor's segment).
-        Forward replay from a pinned (inner region, start anchor) is
-        deterministic, so at most one certified outcome can match — the
-        peel may therefore stop at the first match.
+        The sealed start anchor pins the chain's origin, and ``peel_level``
+        checks the level below's public region digest (hint peels run at
+        levels >= 2 only; level 1 is a forward replay). Forward replay from
+        a pinned (inner region, start anchor) is deterministic, so at most
+        one certified outcome can match — the peel may therefore stop at
+        the first match.
         """
 
         def accept(outcome: PeelOutcome) -> bool:
-            if outcome.start_anchor != expected_start:
-                return False
-            if expected_digest is not None:
-                return region_digest(outcome.inner_region) == expected_digest
-            return outcome.inner_region == frozenset({expected_start})
+            return outcome.start_anchor == expected_start
 
         return accept
 
-    def _select_outcome(
-        self,
-        outcomes: List[PeelOutcome],
-        level: int,
-        expected_digest: Optional[str],
-    ) -> PeelOutcome:
+    @staticmethod
+    def _select_outcome(outcomes: List[PeelOutcome], level: int) -> PeelOutcome:
         """Pick the unique consistent outcome or raise :class:`CollisionError`.
 
-        Search mode's residual ambiguity collapses against the level
-        below's public region digest where one exists (levels >= 1); only
-        peels down to level 0 can remain genuinely ambiguous.
+        ``peel_level`` has already dropped outcomes that miss the level
+        below's public region digest (levels >= 2), so search mode's
+        residual ambiguity survives only in peels down to level 0.
         """
         if not outcomes:
             raise CollisionError(level, 0)
-        if expected_digest is not None:
-            outcomes = [
-                outcome
-                for outcome in outcomes
-                if region_digest(outcome.inner_region) == expected_digest
-            ]
-            if not outcomes:
-                raise CollisionError(level, 0)
         inner_regions = {outcome.inner_region for outcome in outcomes}
         if len(inner_regions) > 1:
             raise CollisionError(level, len(inner_regions))

@@ -29,17 +29,38 @@ whole peel. Descending into a hypothesis is ``token = state.checkpoint();
 state.remove(segment)``; returning is ``state.rollback(token)`` — O(deg)
 per edge of the search tree instead of the former O(|R|) clone-per-region
 derivation, so quickly-pruned branches (RPLE's dead-anchor fan-out,
-decision D12) cost what they explore, not what the region weighs. The
-rollback restores cached answers too, so a node's articulation-free set
-(one Tarjan pass over the compiled CSR plane) survives the excursion into
-its children. Two value caches keyed by the flowing region frozensets make
-the iterative-deepening re-walks cheap: ``backward_hypotheses`` results
-and removable sets are pure functions of (region, removed, step), so later
-budget passes replay the tree mostly through dict hits. Backward lookups
-read the maintained length ordering directly (``state_backward``) — no
-per-node transition-table builds — and candidate filtering uses O(1)
-tolerance deltas. Hinted straight-line peels stay O(R * deg); replay
-certification maintains one state for its whole forward run.
+decision D12) cost what they explore, not what the region weighs.
+
+Three further costs stay local:
+
+* **Removability.** Each explored node asks whether removing its target
+  keeps the region connected. Every visited region is connected when the
+  outer one is, so :meth:`~repro.roadnet.compiled.CompiledNetwork.keeps_connected`
+  answers it: the segments at one junction form a clique, so only the
+  target's two neighbour groups need to meet again, and a bidirectional
+  BFS that always grows the smaller side stops at the first meeting. That
+  costs the explored neighbourhood instead of a per-region articulation
+  pass, on the search and the hinted path alike. A disconnected (tampered)
+  outer region falls back to the exact from-scratch check.
+* **Digest before certification.** Above level 1 the level below's public
+  region digest (``inner_digest``) pins the inner region, so completed
+  hypotheses that miss it are dropped before any replay, with one digest
+  per distinct inner region.
+* **One replay per (inner region, start anchor).** Completed hypotheses
+  are certified by forward replay, which is deterministic in the pair
+  (``steps`` is fixed per peel). A capped memo runs each distinct replay
+  once and checks every outcome's removal order against it.
+
+A value cache keyed by the flowing region frozensets makes the
+iterative-deepening re-walks cheap: ``backward_hypotheses`` results are
+pure functions of (region, removed, step), so later budget passes replay
+the tree mostly through dict hits. Backward lookups read the maintained
+length ordering directly (``state_backward``) — no per-node
+transition-table builds — and candidate filtering uses O(1) tolerance
+deltas. Hinted straight-line peels stay O(R * deg); replay certification
+maintains one state for its whole forward run. None of the screening work
+counts toward the explored-hypothesis limit, so the branch limit, outcome
+order and collision verdicts do not depend on it.
 
 The one exception to maintained state is size-driven: hinted peels and
 replays of regions below :func:`incremental_threshold` run the
@@ -60,17 +81,22 @@ from typing import (
     AbstractSet,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
-from ..errors import CloakingError, CollisionError, DeanonymizationError
+from ..errors import (
+    CloakingError,
+    CollisionError,
+    DeanonymizationError,
+    UnknownSegmentError,
+)
 from ..keys.keys import AccessKey
 from ..roadnet.graph import RoadNetwork
 from .algorithm import CloakingAlgorithm, LevelDraws
+from .envelope import region_digest
 from .profile import ToleranceSpec
 from .region_state import RegionState
 
@@ -256,6 +282,7 @@ def peel_level(
     accept: Optional[Callable[[PeelOutcome], bool]] = None,
     witness_filter: Optional[Callable[[int, int], bool]] = None,
     draws: Optional[LevelDraws] = None,
+    inner_digest: Optional[str] = None,
 ) -> List[PeelOutcome]:
     """Peel one level, returning every replay-certified outcome.
 
@@ -289,9 +316,15 @@ def peel_level(
             level (the batched PRF plane). Hypotheses and replay
             certifications across the whole peel then pay for each distinct
             keyed draw once. ``None`` falls back to per-call draws.
+        inner_digest: Optional public region digest of the level below
+            (the envelope's ``record(level - 1).digest``). Outcomes whose
+            inner region misses it are dropped before certification.
 
     Returns:
         Certified outcomes. Empty when no hypothesis is consistent.
+
+    Raises:
+        UnknownSegmentError: ``outer_region`` holds an id not in the map.
     """
     outer = frozenset(outer_region)
     if steps == 0:
@@ -303,6 +336,8 @@ def peel_level(
         ]
         if accept is not None:
             zero_outcomes = [o for o in zero_outcomes if accept(o)][:1]
+        if inner_digest is not None and region_digest(outer) != inner_digest:
+            zero_outcomes = []
         return zero_outcomes
     if steps >= len(outer):
         raise DeanonymizationError(
@@ -340,6 +375,19 @@ def peel_level(
     seen_outcomes = set()
     budgets = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 
+    compiled = network.compiled()
+    try:
+        # Also the id check: every lookup below assumes known segments.
+        outer_connected = compiled.is_connected(outer)
+    except KeyError as exc:
+        raise UnknownSegmentError(exc.args[0]) from None
+    # Every region the search visits is connected when the outer region
+    # is — descent only ever crosses the removability gate — so the gate
+    # can be the junction-local test. A disconnected (tampered) outer
+    # region takes the exact from-scratch check instead.
+    keeps_connected = compiled.keeps_connected
+    is_connected_region = network.is_connected_region
+
     # Hinted peels walk one straight chain of small regions; below the
     # crossover the from-scratch recomputes win on constants.
     maintain_state = not (
@@ -350,59 +398,64 @@ def peel_level(
     # Incremental bookkeeping shared across the whole peel (all budgets):
     # one live RegionState walks the search tree by checkpoint/remove on
     # descent and rollback on return — O(deg) per edge, nothing
-    # proportional to |R|. Two value memos keyed by the region frozensets
-    # make node revisits (sibling hypotheses within a budget, whole-tree
+    # proportional to |R|. A value memo keyed by the region frozensets
+    # makes node revisits (sibling hypotheses within a budget, whole-tree
     # re-walks across deepening budgets) near-free: ``backward_hypotheses``
-    # tuples and removable sets are pure functions of (region, removed
-    # segment, step). Capped; past the cap values are recomputed but not
-    # stored (never evicted wholesale — the early, hot entries such as the
-    # outer region and the true chain's prefixes stay cached).
-    live: Optional[RegionState] = None
+    # tuples are pure functions of (region, removed segment, step). Capped;
+    # past the cap values are recomputed but not stored (never evicted
+    # wholesale — the early, hot entries such as the outer region and the
+    # true chain's prefixes stay cached).
+    live: Optional[RegionState] = (
+        RegionState.from_region(network, outer) if maintain_state else None
+    )
     hyp_cache: Dict[Tuple[frozenset, int, int], tuple] = {}
-    removable_cache: Dict[frozenset, FrozenSet[int]] = {}
     _HYP_CACHE_CAP = 32768
-    _REMOVABLE_CACHE_CAP = 8192
-    compiled = network.compiled()
-    side_neighbors = compiled.side_neighbors
-
-    def _is_removable(region: frozenset, removing: int) -> bool:
-        if regions_connected:
-            # Clique shortcut: segments at one junction are pairwise
-            # adjacent, so a member whose in-region neighbours all share
-            # one endpoint can never disconnect a connected region — any
-            # path through it reroutes inside the clique. O(deg), and it
-            # answers the overwhelming majority of probes without ever
-            # materialising the articulation set.
-            at_a, at_b = side_neighbors[removing]
-            if region.isdisjoint(at_a) or region.isdisjoint(at_b):
-                return True
-        removable = removable_cache.get(region)
-        if removable is None:
-            removable = frozenset(compiled.removable_members(region))
-            if len(removable_cache) < _REMOVABLE_CACHE_CAP:
-                removable_cache[region] = removable
-        return removing in removable
-
-    regions_connected = False
-    if maintain_state:
-        # Building the outer state first also validates every segment id
-        # (unknown ids raise UnknownSegmentError, not a bare KeyError).
-        live = RegionState.from_region(network, outer)
-        # Every region the search visits is connected when the outer region
-        # is: descent only ever crosses the removability gate. That unlocks
-        # the O(deg) clique shortcut in ``_is_removable``; a disconnected
-        # (tampered) outer region demotes every query to the full
-        # articulation answer.
-        regions_connected = compiled.is_connected(outer)
 
     # Cross-budget caches of the live-state path, all keyed by the node
     # signature ``(region, removing, step)`` (pure functions of it):
-    # the inner-region frozenset, and the budget-interval entries
-    # ``(valid_from, bound, completions)`` — the node's completions are
-    # valid verbatim for any remaining budget in ``[valid_from, bound)``.
+    # the inner-region frozenset with its removability verdict, and the
+    # budget-interval entries ``(valid_from, bound, completions)`` — the
+    # node's completions are valid verbatim for any remaining budget in
+    # ``[valid_from, bound)``.
     inf = float("inf")
-    inner_cache: Dict[Tuple[frozenset, int, int], frozenset] = {}
+    inner_cache: Dict[Tuple[frozenset, int, int], Tuple[frozenset, bool]] = {}
     interval_memo: dict = {}
+
+    # Completed hypotheses are screened cheapest first: ``accept``, then
+    # the level-below digest (memoized per inner region), then replay
+    # certification. Replay is deterministic in (inner region, start
+    # anchor) — ``steps`` is fixed for the peel — so one replay serves
+    # every outcome sharing the pair. Both memos are capped like the
+    # hypothesis cache; past the cap values are recomputed, not stored.
+    digest_matches: Dict[frozenset, bool] = {}
+    replays: Dict[Tuple[frozenset, int], Optional[Tuple[int, ...]]] = {}
+    _SCREEN_CACHE_CAP = 4096
+
+    def _screened(outcome: PeelOutcome) -> bool:
+        if accept is not None and not accept(outcome):
+            return False
+        inner = outcome.inner_region
+        if inner_digest is not None:
+            matches = digest_matches.get(inner)
+            if matches is None:
+                matches = region_digest(inner) == inner_digest
+                if len(digest_matches) < _SCREEN_CACHE_CAP:
+                    digest_matches[inner] = matches
+            if not matches:
+                return False
+        if not validate:
+            return True
+        replay_key = (inner, outcome.start_anchor)
+        if replay_key in replays:
+            replayed = replays[replay_key]
+        else:
+            replayed = replay_level(
+                network, algorithm, key, inner, outcome.start_anchor, steps,
+                tolerance, draws=draws,
+            )
+            if len(replays) < _SCREEN_CACHE_CAP:
+                replays[replay_key] = replayed
+        return replayed == outcome.added_sequence
 
     for budget in budgets:
         memo: dict = {}
@@ -430,15 +483,17 @@ def peel_level(
             completions: List[Tuple[frozenset, Tuple[int, ...], int]] = []
             bound = inf
             if removing in region:
-                inner = inner_cache.get(node_sig) if live is not None else None
-                if inner is None:
+                gate = inner_cache.get(node_sig) if live is not None else None
+                if gate is None:
                     inner = region - {removing}
+                    if outer_connected:
+                        connected = keeps_connected(region, removing)
+                    else:
+                        connected = is_connected_region(inner)
+                    gate = (inner, connected)
                     if live is not None and len(inner_cache) < _HYP_CACHE_CAP:
-                        inner_cache[node_sig] = inner
-                if live is None:
-                    connected = network.is_connected_region(inner)
-                else:
-                    connected = _is_removable(region, removing)
+                        inner_cache[node_sig] = gate
+                inner, connected = gate
                 if inner and connected:
                     hypotheses: Optional[tuple] = None
                     if live is not None:
@@ -511,36 +566,10 @@ def peel_level(
                 outcome = PeelOutcome(
                     inner_region=inner, removed=removed_seq, start_anchor=start
                 )
-                if accept is not None and not accept(outcome):
-                    continue
-                if validate and not _certify(
-                    network, algorithm, key, outcome, tolerance, draws=draws
-                ):
+                if not _screened(outcome):
                     continue
                 seen_outcomes.add(signature)
                 outcomes.append(outcome)
                 if first_only or accept is not None:
                     return outcomes
     return outcomes
-
-
-def _certify(
-    network: RoadNetwork,
-    algorithm: CloakingAlgorithm,
-    key: AccessKey,
-    outcome: PeelOutcome,
-    tolerance: ToleranceSpec,
-    draws: Optional[LevelDraws] = None,
-) -> bool:
-    """Forward-replay certification of a completed peel hypothesis."""
-    replayed = replay_level(
-        network,
-        algorithm,
-        key,
-        outcome.inner_region,
-        outcome.start_anchor,
-        len(outcome.removed),
-        tolerance,
-        draws=draws,
-    )
-    return replayed == outcome.added_sequence

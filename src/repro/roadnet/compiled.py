@@ -40,7 +40,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Iterable, Tuple
 
 from .graph import gc_paused
 
@@ -164,15 +164,12 @@ class CompiledNetwork:
         self.avg_degree = (total / self.segment_count) if self.segment_count else 0.0
 
         # Neighbours split by shared endpoint junction. Segments incident
-        # to one junction are pairwise adjacent (a clique), which gives
-        # the reversal search an O(deg) sufficient removability test: a
-        # member whose in-region neighbours all sit on one endpoint can
-        # never disconnect a connected region — any path through it
-        # reroutes inside the clique (see ``peel_level``). Each neighbour
-        # shares exactly one junction (duplicate pairs are rejected at
-        # build time), so the two sets partition the neighbour list.
-        # Filled per segment on first lookup: a peel touches a small part
-        # of the map, and a cloak-only server none of it.
+        # to one junction are pairwise adjacent (a clique), which is what
+        # makes :meth:`keeps_connected` local. Each neighbour shares
+        # exactly one junction (duplicate pairs are rejected at build
+        # time), so the two sets partition the neighbour list. Filled per
+        # segment on first lookup: a peel touches a small part of the
+        # map, and a cloak-only server none of it.
         self.side_neighbors = _SideNeighbors(network)
 
         # Flat per-segment tables + the id-keyed views hot Python loops use.
@@ -362,6 +359,54 @@ class CompiledNetwork:
                     reached += 1
                     stack.append(neighbor)
         return reached == len(members)
+
+    def keeps_connected(self, region: AbstractSet[int], member: int) -> bool:
+        """Whether removing ``member`` leaves the *connected* ``region``
+        connected.
+
+        Precondition: ``region`` is connected and contains ``member`` (the
+        answer is unspecified otherwise). The segments at one junction
+        form a clique, so ``member``'s in-region neighbours at
+        ``junction_a`` are mutually adjacent, and so are those at
+        ``junction_b``; every other member reached ``member`` through one
+        of the two groups. The remainder is therefore connected iff the
+        two groups still reach each other without ``member``. A
+        bidirectional BFS over ``neighbor_map`` answers that, always
+        expanding the smaller frontier and stopping at the first meeting
+        or when one side runs dry — the cost is the explored
+        neighbourhood, not O(|region| * deg). A member with no in-region
+        neighbour on one side answers in O(deg).
+        """
+        at_a, at_b = self.side_neighbors[member]
+        frontier_a = [segment for segment in at_a if segment in region]
+        if not frontier_a:
+            return True
+        frontier_b = [segment for segment in at_b if segment in region]
+        if not frontier_b:
+            return True
+        neighbor_map = self.neighbor_map
+        # ``member`` is marked seen on both sides, so neither walk crosses
+        # it; the meeting test therefore never fires on it either.
+        seen_a = set(frontier_a)
+        seen_a.add(member)
+        seen_b = set(frontier_b)
+        seen_b.add(member)
+        while True:
+            if len(frontier_a) > len(frontier_b):
+                frontier_a, frontier_b = frontier_b, frontier_a
+                seen_a, seen_b = seen_b, seen_a
+            grown: list = []
+            for node in frontier_a:
+                for neighbor in neighbor_map[node]:
+                    if neighbor in seen_a or neighbor not in region:
+                        continue
+                    if neighbor in seen_b:
+                        return True
+                    seen_a.add(neighbor)
+                    grown.append(neighbor)
+            if not grown:
+                return False
+            frontier_a = grown
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,14 +2,16 @@
 
 import pytest
 
+import reference
 from repro.core import (
     ReversibleGlobalExpansion,
     ToleranceSpec,
     enumerate_bootstraps,
     peel_level,
+    region_digest,
     replay_level,
 )
-from repro.errors import CollisionError, DeanonymizationError
+from repro.errors import CollisionError, DeanonymizationError, UnknownSegmentError
 from repro.keys import AccessKey
 from repro.roadnet import grid_network
 
@@ -146,3 +148,115 @@ class TestPeelLevel:
         outcomes = peel_level(grid, rge, key, region, 4, WIDE, (anchor,))
         truth = [o for o in outcomes if o.inner_region == frozenset({27})]
         assert truth[0].added_sequence == tuple(additions)
+
+
+class TestDigestPrefilter:
+    def test_keeps_exactly_the_matching_outcomes(self, grid, rge, key):
+        region, __, __ = expand(grid, rge, key, 27, 6)
+        bootstraps = enumerate_bootstraps(grid, region)
+        everything = peel_level(grid, rge, key, region, 6, WIDE, bootstraps)
+        truth = region_digest({27})
+        pinned = peel_level(
+            grid, rge, key, region, 6, WIDE, bootstraps, inner_digest=truth
+        )
+        assert pinned == [
+            o for o in everything if region_digest(o.inner_region) == truth
+        ]
+        assert [o.inner_region for o in pinned] == [frozenset({27})]
+        assert peel_level(
+            grid, rge, key, region, 6, WIDE, bootstraps,
+            inner_digest=region_digest({28}),
+        ) == []
+
+    def test_zero_step_level_checks_the_digest(self, grid, rge, key):
+        inner = {1, 2, 3}
+        assert peel_level(
+            grid, rge, key, inner, 0, WIDE, (2,), inner_digest=region_digest(inner)
+        )
+        assert peel_level(
+            grid, rge, key, inner, 0, WIDE, (2,), inner_digest=region_digest({1})
+        ) == []
+
+    def test_screening_never_counts_toward_the_branch_limit(self, grid, rge, key):
+        """Digest checks and replays do not advance the explored counter:
+        the smallest limit a search completes under is the same with and
+        without them."""
+        region, __, __ = expand(grid, rge, key, 27, 7)
+        bootstraps = enumerate_bootstraps(grid, region)
+
+        def smallest_limit(**screening):
+            limit = 1
+            while True:
+                try:
+                    peel_level(
+                        grid, rge, key, region, 7, WIDE, bootstraps,
+                        branch_limit=limit, **screening,
+                    )
+                    return limit
+                except CollisionError:
+                    limit += 1
+
+        plain = smallest_limit(validate=False)
+        assert plain > 1
+        assert smallest_limit(validate=True) == plain
+        assert smallest_limit(inner_digest=region_digest({27})) == plain
+
+
+class TestUnknownSegments:
+    """An unknown id in the outer region raises ``UnknownSegmentError`` on
+    both paths, never a bare ``KeyError`` and never an empty answer."""
+
+    @pytest.fixture(scope="class")
+    def tampered(self, rge, key):
+        grid9 = grid_network(9, 9)
+        region, __, anchor = expand(grid9, rge, key, 40, 6)
+        return grid9, region | {999999}, anchor
+
+    @pytest.mark.parametrize("bootstrap", ["unknown", "outside"])
+    def test_hinted_path(self, tampered, rge, key, bootstrap):
+        grid9, outer, __ = tampered
+        # Neither bootstrap starts a walk, so only an upfront check sees
+        # the unknown id.
+        start = 999999 if bootstrap == "unknown" else 0
+        with pytest.raises(UnknownSegmentError):
+            peel_level(
+                grid9, rge, key, outer, 6, WIDE, (start,), accept=lambda o: True
+            )
+
+    def test_search_path(self, tampered, rge, key):
+        grid9, outer, anchor = tampered
+        with pytest.raises(UnknownSegmentError):
+            peel_level(grid9, rge, key, outer, 6, WIDE, (anchor,))
+
+
+class TestDisconnectedOuterRegion:
+    """A tampered, disconnected outer region takes the exact connectivity
+    check: the junction-local test assumes a connected region."""
+
+    @pytest.fixture(scope="class")
+    def outer(self, grid, rge, key):
+        region, __, __ = expand(grid, rge, key, 27, 6)
+        far = next(
+            sid for sid in reversed(grid.segment_ids())
+            if sid not in region and not set(grid.neighbors(sid)) & region
+        )
+        outer = frozenset(region | {far})
+        assert not grid.is_connected_region(outer)
+        return outer
+
+    def test_every_chain_keeps_the_region_connected(self, grid, rge, key, outer):
+        for steps in (1, 3, 6):
+            for outcome in peel_level(
+                grid, rge, key, outer, steps, WIDE, sorted(outer), validate=False
+            ):
+                remaining = set(outer)
+                for segment in outcome.removed:
+                    remaining.discard(segment)
+                    assert grid.is_connected_region(remaining), outcome
+
+    def test_matches_reference(self, grid, rge, key, outer):
+        for steps in (1, 3, 6):
+            outcomes = peel_level(grid, rge, key, outer, steps, WIDE, sorted(outer))
+            assert reference.outcome_set(outcomes) == reference.search_peel(
+                grid, rge, key, outer, steps, WIDE
+            )

@@ -10,6 +10,7 @@ from repro.roadnet import (
     compiled_network,
     geometry_digest,
     grid_network,
+    radial_network,
     random_delaunay_network,
 )
 from repro.roadnet.graph import RoadNetworkBuilder, removable_segments
@@ -94,6 +95,80 @@ class TestTables:
             assert plane.removable_members(region) == removable_segments(
                 neighbors, set(region)
             )
+
+
+def _pruned_grid(rows: int, cols: int, keep: float, seed: int):
+    """A grid with a random share of its segments deleted: bridges, dead
+    ends and cut vertices that a full grid never has."""
+    full = grid_network(rows, cols)
+    rng = random.Random(seed)
+    builder = RoadNetworkBuilder(name=f"pruned-grid-{seed}")
+    for junction_id in full.junction_ids():
+        location = full.junction(junction_id).location
+        builder.add_junction(junction_id, location.x, location.y)
+    for segment_id in full.segment_ids():
+        if rng.random() < keep:
+            segment = full.segment(segment_id)
+            builder.add_segment(
+                segment_id, segment.junction_a, segment.junction_b, segment.length
+            )
+    return builder.build()
+
+
+def _grown_regions(network, count: int, max_size: int, seed: int):
+    """Random connected regions grown one frontier segment at a time."""
+    rng = random.Random(seed)
+    ids = network.segment_ids()
+    for _ in range(count):
+        region = {rng.choice(ids)}
+        for _ in range(rng.randrange(0, max_size)):
+            frontier = network.frontier(region)
+            if not frontier:
+                break
+            region.add(rng.choice(frontier))
+        yield frozenset(region)
+
+
+class TestKeepsConnected:
+    """The junction-local removability test against the brute-force
+    :func:`removable_segments`, for every member of every region."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: grid_network(9, 9),
+            lambda: atlanta_like(scale=0.05),
+            lambda: random_delaunay_network(
+                n_junctions=60, target_segments=120, seed=11
+            ),
+            lambda: radial_network(4, 7),
+            lambda: _pruned_grid(9, 9, keep=0.7, seed=5),
+            lambda: _pruned_grid(12, 12, keep=0.55, seed=9),
+        ],
+        ids=["grid9", "atlanta", "delaunay", "radial", "pruned70", "pruned55"],
+    )
+    def test_matches_brute_force(self, build):
+        network = build()
+        plane = network.compiled()
+        neighbors = plane.neighbor_map.__getitem__
+        probes = bridges = 0
+        for region in _grown_regions(network, count=60, max_size=45, seed=3):
+            expected = set(removable_segments(neighbors, set(region)))
+            for member in region:
+                assert plane.keeps_connected(region, member) == (
+                    member in expected
+                ), (sorted(region), member)
+                probes += 1
+                bridges += member not in expected
+        # The regions must exercise both answers, or the test shows nothing.
+        assert probes > bridges > 0
+
+    def test_pruned_grid_has_dead_ends(self):
+        network = _pruned_grid(9, 9, keep=0.7, seed=5)
+        assert any(
+            not all(network.compiled().side_neighbors[sid])
+            for sid in network.segment_ids()
+        )
 
 
 class TestSharing:
